@@ -20,23 +20,26 @@
 //! primal solve"; correctness never depends on the warm path.
 
 use std::cmp::Ordering;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::lu::Factors;
 use crate::model::{Model, Sense};
 use pipemap_obs::metrics;
 
 /// Start a per-solve timer only when the metrics registry is live, and
-/// record the LP's iteration count and wall time on completion.
-/// Telemetry is read-only: nothing here feeds back into pivoting.
+/// record the LP's iteration count, wall time and LU factorizations on
+/// completion. Telemetry is read-only: nothing here feeds back into
+/// pivoting.
 fn lp_metrics_start() -> Option<Instant> {
     metrics::enabled().then(Instant::now)
 }
 
-fn lp_metrics_record(t0: Option<Instant>, iters: usize, warm: bool) {
+fn lp_metrics_record(t0: Option<Instant>, iters: usize, lu: FactorTally, warm: bool) {
     let Some(t0) = t0 else { return };
     metrics::histogram("lp.solve_us").record(t0.elapsed().as_micros() as f64);
     metrics::histogram("lp.iters").record(iters as f64);
+    metrics::counter("lp.factorizations").add(lu.count as u64);
+    metrics::histogram("lp.factor_us").record(lu.time.as_micros() as f64);
     if warm {
         metrics::counter("lp.warm_solves").inc();
     } else {
@@ -171,13 +174,14 @@ impl LpProblem {
         deadline: Option<Instant>,
     ) -> Result<(LpSolution, Option<WarmBasis>), LpAbort> {
         let t0 = lp_metrics_start();
+        let mut lu = FactorTally::default();
         for attempt in 0..5 {
             let mut w = Worker::new(self, lb, ub);
             // Diversify retries: perturbed pricing first, Bland's rule last.
             w.price_seed = attempt as u64;
             w.always_bland = attempt >= 3;
             match w.run(deadline) {
-                Err(LpAbort::Singular) => continue,
+                Err(LpAbort::Singular) => lu.add(w.lu),
                 Ok(sol) => {
                     let snap = if sol.status == LpStatus::Optimal {
                         w.pivot_out_artificials();
@@ -185,7 +189,8 @@ impl LpProblem {
                     } else {
                         None
                     };
-                    lp_metrics_record(t0, sol.iters, false);
+                    lu.add(w.lu);
+                    lp_metrics_record(t0, sol.iters, lu, false);
                     return Ok((sol, snap));
                 }
                 Err(e) => return Err(e),
@@ -251,7 +256,7 @@ impl LpProblem {
         } else {
             None
         };
-        lp_metrics_record(t0, sol.iters, true);
+        lp_metrics_record(t0, sol.iters, w.lu, true);
         Ok((sol, snap))
     }
 
@@ -264,12 +269,13 @@ impl LpProblem {
         deadline: Option<Instant>,
     ) -> Result<(LpSolution, Option<(WarmBasis, Factors)>), LpAbort> {
         let t0 = lp_metrics_start();
+        let mut lu = FactorTally::default();
         for attempt in 0..5 {
             let mut w = Worker::new(self, lb, ub);
             w.price_seed = attempt as u64;
             w.always_bland = attempt >= 3;
             match w.run(deadline) {
-                Err(LpAbort::Singular) => continue,
+                Err(LpAbort::Singular) => lu.add(w.lu),
                 Ok(sol) => {
                     let snap = if sol.status == LpStatus::Optimal {
                         w.pivot_out_artificials();
@@ -277,7 +283,8 @@ impl LpProblem {
                     } else {
                         None
                     };
-                    lp_metrics_record(t0, sol.iters, false);
+                    lu.add(w.lu);
+                    lp_metrics_record(t0, sol.iters, lu, false);
                     return Ok((sol, snap));
                 }
                 Err(e) => return Err(e),
@@ -335,7 +342,7 @@ impl LpProblem {
         } else {
             None
         };
-        lp_metrics_record(t0, sol.iters, true);
+        lp_metrics_record(t0, sol.iters, w.lu, true);
         Ok((sol, snap, reused))
     }
 }
@@ -446,12 +453,13 @@ struct Worker<'a> {
     ub: Vec<f64>,
     /// Current-phase costs for all columns.
     cost: Vec<f64>,
-    /// Extra artificial columns: each is a unit column in some row.
-    art_rows: Vec<usize>,
+    /// Extra artificial columns: each is a unit column `(row, 1.0)`.
+    art_cols: Vec<(usize, f64)>,
     status: Vec<VStat>,
     basis: Vec<usize>,
     x_basic: Vec<f64>,
     factors: Factors,
+    lu: FactorTally,
     iters: usize,
     stall: usize,
     bland: bool,
@@ -464,19 +472,11 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn n_total(&self) -> usize {
-        self.p.n_struct + self.p.m + self.art_rows.len()
+        self.p.n_struct + self.p.m + self.art_cols.len()
     }
 
     fn col_entries(&self, j: usize) -> &[(usize, f64)] {
-        let base = self.p.n_struct + self.p.m;
-        if j < base {
-            &self.p.cols[j]
-        } else {
-            // Artificial: a unit column; synthesize lazily via a static
-            // small buffer is awkward, so artificials are special-cased at
-            // the few use sites instead. This path must not be reached.
-            unreachable!("artificial columns are special-cased")
-        }
+        basis_col(self.p, &self.art_cols, j)
     }
 
     /// Dense version of column j into `out` (cleared first).
@@ -490,7 +490,7 @@ impl<'a> Worker<'a> {
                 out[r] += v;
             }
         } else {
-            out[self.art_rows[j - base]] = 1.0;
+            out[self.art_cols[j - base].0] = 1.0;
         }
     }
 
@@ -499,7 +499,7 @@ impl<'a> Worker<'a> {
         if j < base {
             self.p.cols[j].iter().map(|&(r, v)| v * y[r]).sum()
         } else {
-            y[self.art_rows[j - base]]
+            y[self.art_cols[j - base].0]
         }
     }
 
@@ -557,11 +557,12 @@ impl<'a> Worker<'a> {
             lb: Vec::new(),
             ub: Vec::new(),
             cost: Vec::new(),
-            art_rows: Vec::new(),
+            art_cols: Vec::new(),
             status,
             basis: Vec::new(),
             x_basic: Vec::new(),
-            factors: Factors::factor(0, &[]).expect("empty factorization"),
+            factors: Factors::default(),
+            lu: FactorTally::default(),
             iters: 0,
             stall: 0,
             bland: false,
@@ -594,7 +595,7 @@ impl<'a> Worker<'a> {
         // Basis: slack where feasible, otherwise artificial.
         let mut basis = Vec::with_capacity(m);
         let mut x_basic = Vec::with_capacity(m);
-        let mut art_rows = Vec::new();
+        let mut art_cols = Vec::new();
         for (i, &v) in resid.iter().enumerate() {
             let sj = p.n_struct + i;
             if v >= lb[sj] - FEAS_TOL && v <= ub[sj] + FEAS_TOL {
@@ -611,8 +612,8 @@ impl<'a> Worker<'a> {
                     VStat::AtUpper
                 };
                 let r = v - pin;
-                let aj = n + art_rows.len();
-                art_rows.push(i);
+                let aj = n + art_cols.len();
+                art_cols.push((i, 1.0));
                 lb.push(if r >= 0.0 { 0.0 } else { f64::NEG_INFINITY });
                 ub.push(if r >= 0.0 { f64::INFINITY } else { 0.0 });
                 cost.push(0.0);
@@ -621,12 +622,12 @@ impl<'a> Worker<'a> {
                 x_basic.push(r);
             }
         }
-        cost.resize(n + art_rows.len(), 0.0);
+        cost.resize(n + art_cols.len(), 0.0);
 
         w.lb = lb;
         w.ub = ub;
         w.cost = cost;
-        w.art_rows = art_rows;
+        w.art_cols = art_cols;
         w.basis = basis;
         w.x_basic = x_basic;
         w.refactor().expect("identity initial basis factors");
@@ -634,24 +635,26 @@ impl<'a> Worker<'a> {
     }
 
     fn refactor(&mut self) -> Result<(), LpAbort> {
-        let m = self.p.m;
-        let base = self.p.n_struct + m;
-        let mut cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        for &j in &self.basis {
-            if j < base {
-                cols.push(self.col_entries(j).to_vec());
-            } else {
-                cols.push(vec![(self.art_rows[j - base], 1.0)]);
-            }
+        let t0 = lp_metrics_start();
+        let cols = self
+            .basis
+            .iter()
+            .map(|&j| basis_col(self.p, &self.art_cols, j));
+        let res = self.factors.factor(self.p.m, cols);
+        self.lu.count += 1;
+        if let Some(t0) = t0 {
+            self.lu.time += t0.elapsed();
         }
-        self.factors = Factors::factor(m, &cols).map_err(|_| LpAbort::Singular)?;
+        res.map_err(|_| LpAbort::Singular)?;
         self.recompute_x_basic();
         Ok(())
     }
 
     /// x_B = B⁻¹ (b − N x_N), recomputed for numerical hygiene.
     fn recompute_x_basic(&mut self) {
-        let mut resid = self.p.rhs.clone();
+        let mut resid = std::mem::take(&mut self.x_basic);
+        resid.clear();
+        resid.extend_from_slice(&self.p.rhs);
         for j in 0..self.n_total() {
             if matches!(self.status[j], VStat::Basic(_)) {
                 continue;
@@ -664,7 +667,7 @@ impl<'a> Worker<'a> {
                         resid[r] -= cv * v;
                     }
                 } else {
-                    resid[self.art_rows[j - base]] -= v;
+                    resid[self.art_cols[j - base].0] -= v;
                 }
             }
         }
@@ -678,7 +681,7 @@ impl<'a> Worker<'a> {
             *c = 0.0;
         }
         let base = self.p.n_struct + self.p.m;
-        for (a, _) in self.art_rows.iter().enumerate() {
+        for a in 0..self.art_cols.len() {
             let j = base + a;
             // Positive artificials cost +1, negative ones −1, so the phase-1
             // objective is Σ|artificial|.
@@ -699,7 +702,7 @@ impl<'a> Worker<'a> {
     }
 
     fn run(&mut self, deadline: Option<Instant>) -> Result<LpSolution, LpAbort> {
-        if !self.art_rows.is_empty() {
+        if !self.art_cols.is_empty() {
             self.set_phase1_costs();
             let status = self.optimize(deadline)?;
             debug_assert!(status != InnerStatus::Unbounded, "phase 1 is bounded");
@@ -709,7 +712,7 @@ impl<'a> Worker<'a> {
             }
             // Pin all artificials to zero for phase 2.
             let base = self.p.n_struct + self.p.m;
-            for a in 0..self.art_rows.len() {
+            for a in 0..self.art_cols.len() {
                 self.lb[base + a] = 0.0;
                 self.ub[base + a] = 0.0;
                 if !matches!(self.status[base + a], VStat::Basic(_)) {
@@ -991,11 +994,12 @@ impl<'a> Worker<'a> {
             lb: lb_in.to_vec(),
             ub: ub_in.to_vec(),
             cost: vec![0.0; n],
-            art_rows: Vec::new(),
+            art_cols: Vec::new(),
             status,
             basis: warm.basis.clone(),
             x_basic: vec![0.0; m],
-            factors: Factors::factor(0, &[]).expect("empty factorization"),
+            factors: Factors::default(),
+            lu: FactorTally::default(),
             iters: 0,
             stall: 0,
             bland: false,
@@ -1119,6 +1123,7 @@ impl<'a> Worker<'a> {
         }
         let mut w = vec![0.0; m];
         let mut rho = vec![0.0; m];
+        let mut y = vec![0.0; m];
         let mut stall = 0usize;
         let mut last_viol = f64::INFINITY;
         let start_iters = self.iters;
@@ -1172,7 +1177,6 @@ impl<'a> Worker<'a> {
             }
             rho[r] = 1.0;
             self.factors.btran(&mut rho);
-            let mut y = vec![0.0; m];
             for (pos, &j) in self.basis.iter().enumerate() {
                 y[pos] = self.cost[j];
             }
@@ -1312,6 +1316,7 @@ impl<'a> Worker<'a> {
     fn optimize(&mut self, deadline: Option<Instant>) -> Result<InnerStatus, LpAbort> {
         let m = self.p.m;
         let mut w = vec![0.0; m];
+        let mut y = vec![0.0; m];
         loop {
             self.iters += 1;
             if self.iters > MAX_ITERS {
@@ -1326,7 +1331,6 @@ impl<'a> Worker<'a> {
             }
 
             // Duals: y = B⁻ᵀ c_B.
-            let mut y = vec![0.0; m];
             for (pos, &j) in self.basis.iter().enumerate() {
                 y[pos] = self.cost[j];
             }
@@ -1476,6 +1480,33 @@ impl<'a> Worker<'a> {
                 }
             }
         }
+    }
+}
+
+/// Column `j` of the computational form `[A | I]`, or of the artificial
+/// unit columns past it.
+fn basis_col<'a>(p: &'a LpProblem, art_cols: &'a [(usize, f64)], j: usize) -> &'a [(usize, f64)] {
+    let base = p.n_struct + p.m;
+    if j < base {
+        &p.cols[j]
+    } else {
+        std::slice::from_ref(&art_cols[j - base])
+    }
+}
+
+/// LU factorizations an LP solve performed (cold start, warm-start
+/// refactor, eta-limit or unstable-update refactor, artificial pivot-out)
+/// and, with metrics on, their total wall time.
+#[derive(Debug, Clone, Copy, Default)]
+struct FactorTally {
+    count: usize,
+    time: Duration,
+}
+
+impl FactorTally {
+    fn add(&mut self, other: FactorTally) {
+        self.count += other.count;
+        self.time += other.time;
     }
 }
 
