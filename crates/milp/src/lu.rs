@@ -16,21 +16,31 @@
 //! place. The active submatrix of the elimination lives in one
 //! [`Workspace`] per thread, reused by every factorization on that thread,
 //! so the elimination allocates nothing once the buffers have grown to the
-//! largest basis seen. FTRAN and BTRAN run the triangular solves in row
-//! space and move between row and position space with a stored
-//! permutation, so they work in place in the caller's vector.
+//! largest basis seen. The pivot column comes from [`CountBuckets`], one
+//! bitset of active positions per entry count. FTRAN and BTRAN run the
+//! triangular solves in row space and move between row and position space
+//! with a stored permutation, so they work in place in the caller's
+//! vector.
+//!
+//! **Sparse solves** (Hall & McKinnon, "Hyper-sparsity in the revised
+//! simplex method", 2005). A factorization also records the steps whose L
+//! column is non-empty, the row → step map and the transposed U pattern.
+//! The L passes visit only those steps. When the right-hand side of the U
+//! pass has few nonzeros, the pass visits only the steps reachable from
+//! them, in the same step order as the dense loop, which a dense
+//! right-hand side keeps. A skipped step would only have combined exact
+//! zeros, so every nonzero result is bit-identical to the dense loop's;
+//! a zero entry may come out as −0 in one and +0 in the other.
 //!
 //! **Determinism.** The pivot sequence and every floating-point operation
-//! depend only on the basis, never on bookkeeping order: the pivot column
-//! is an active column with the fewest entries (ties to the lowest
-//! position), the pivot row the shortest active row among entries at
-//! least `TAU` times the column maximum (ties to the lowest row index),
+//! on a nonzero depend only on the basis, never on bookkeeping order: the
+//! pivot column is an active column with the fewest entries (ties to the
+//! lowest position), the pivot row the shortest active row among entries
+//! at least `TAU` times the column maximum (ties to the lowest row index),
 //! pivot-row entries are applied in position order, and L operations are
 //! replayed in the order their rows first entered the pivot column.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Threshold-pivoting relative tolerance.
@@ -126,6 +136,17 @@ pub(crate) struct Factors {
     /// Those etas act on base positions only and belong inside `B`; etas
     /// past this index act on the full bordered dimension.
     border_at: usize,
+    /// The steps whose L column is non-empty, ascending.
+    l_steps: Vec<u32>,
+    /// The step that pivoted each row.
+    step_of_row: Vec<u32>,
+    /// Per U entry (parallel to `u.idx`), the step that pivoted its row.
+    u_steps: Vec<u32>,
+    /// Transposed U pattern: per step `j`, the earlier steps whose U row
+    /// holds an entry in step `j`'s pivot row, ascending; step `j`'s list
+    /// is `ut_step[ut_start[j]..ut_start[j + 1]]`.
+    ut_start: Vec<u32>,
+    ut_step: Vec<u32>,
 }
 
 /// Growable lists packed into one array. A list that outgrows its slot
@@ -189,9 +210,7 @@ impl<T: Copy + Default> Lists<T> {
 /// thread allocates only while its bases keep growing.
 #[derive(Debug, Default)]
 struct Workspace {
-    /// Input nonzeros `(row, position, value)` in input order.
-    input: Vec<(u32, u32, f64)>,
-    /// Entry counts per row, then per column, while loading.
+    /// Entry counts per row while loading.
     sizes: Vec<usize>,
     /// Active rows: `(position, value)` entries in no particular order.
     rows: Lists<(u32, f64)>,
@@ -201,9 +220,8 @@ struct Workspace {
     cols: Lists<u32>,
     col_count: Vec<usize>,
     row_active: Vec<bool>,
-    col_active: Vec<bool>,
-    /// Lazy min-heap over `(count, column)`; may hold stale entries.
-    heap: BinaryHeap<Reverse<(usize, usize)>>,
+    /// The active columns by `col_count`.
+    buckets: CountBuckets,
     /// `step + 1` when a row was last taken as a pivot-column candidate.
     seen: Vec<usize>,
     /// Candidate rows of the pivot column with their entry in it.
@@ -220,93 +238,226 @@ struct Workspace {
     perm: Vec<u32>,
 }
 
+/// Scratch for the sparse solves' reach computation.
+#[derive(Debug, Default)]
+struct Reach {
+    /// Steps reached so far; sorted once complete.
+    steps: Vec<u32>,
+    /// Steps still to expand.
+    stack: Vec<u32>,
+    /// Per step: already in `steps`. Cleared after every use.
+    mark: Vec<bool>,
+}
+
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+    static REACH: RefCell<Reach> = RefCell::new(Reach::default());
+}
+
+/// A right-hand side with more than `1/SPARSE_RHS` of its entries nonzero
+/// takes the dense U loop.
+const SPARSE_RHS: usize = 10;
+/// A reach of more than `1/SPARSE_REACH` of the steps falls back to the
+/// dense U loop.
+const SPARSE_REACH: usize = 4;
+
+impl Reach {
+    /// The steps reachable from the nonzeros of `v` (indexed by row)
+    /// along `next`, sorted ascending, or `false` when `v` or the reach
+    /// is too dense for the sparse loop to pay.
+    fn collect<'f>(
+        &mut self,
+        f: &'f Factors,
+        v: &[f64],
+        next: impl Fn(usize) -> &'f [u32],
+    ) -> bool {
+        let m = f.m;
+        self.steps.clear();
+        self.stack.clear();
+        self.mark.resize(m, false);
+        for (r, &x) in v[..m].iter().enumerate() {
+            if x != 0.0 {
+                if self.steps.len() * SPARSE_RHS >= m {
+                    return self.abandon();
+                }
+                let k = f.step_of_row[r];
+                self.mark[k as usize] = true;
+                self.steps.push(k);
+                self.stack.push(k);
+            }
+        }
+        while let Some(k) = self.stack.pop() {
+            for &j in next(k as usize) {
+                if !self.mark[j as usize] {
+                    if self.steps.len() * SPARSE_REACH >= m {
+                        return self.abandon();
+                    }
+                    self.mark[j as usize] = true;
+                    self.steps.push(j);
+                    self.stack.push(j);
+                }
+            }
+        }
+        for &k in &self.steps {
+            self.mark[k as usize] = false;
+        }
+        self.steps.sort_unstable();
+        true
+    }
+
+    fn abandon(&mut self) -> bool {
+        for &k in &self.steps {
+            self.mark[k as usize] = false;
+        }
+        false
+    }
+}
+
+/// The active columns of an elimination bucketed by entry count: one
+/// bitset of positions per count. The lowest set bit of the lowest
+/// non-empty bucket is the active column with the fewest entries, ties to
+/// the lowest position. Buckets exist up to the highest count seen so
+/// far, which fill-in raises only slowly.
+#[derive(Debug, Default)]
+struct CountBuckets {
+    /// Words per bucket.
+    stride: usize,
+    /// Bucket `k` is `bits[k * stride..(k + 1) * stride]`.
+    bits: Vec<u64>,
+    /// Columns per bucket; its length is the number of buckets.
+    len: Vec<usize>,
+    /// Per bucket, a word index below which the bucket has no set bit.
+    first: Vec<usize>,
+    /// No bucket below this one holds a column.
+    low: usize,
+    /// Every set bit lies below this word index.
+    dirty: usize,
+}
+
+impl CountBuckets {
+    /// No buckets, over positions `0..m`.
+    fn reset(&mut self, m: usize) {
+        // A completed elimination empties every bucket; a singular one
+        // leaves bits behind.
+        self.bits[..self.dirty].fill(0);
+        self.dirty = 0;
+        self.stride = m.div_ceil(64);
+        self.len.clear();
+        self.first.clear();
+        self.low = 0;
+    }
+
+    fn insert(&mut self, count: usize, c: usize) {
+        if count >= self.len.len() {
+            self.len.resize(count + 1, 0);
+            self.first.resize(count + 1, self.stride);
+            let words = (count + 1) * self.stride;
+            if self.bits.len() < words {
+                self.bits.resize(words, 0);
+            }
+        }
+        let w = count * self.stride + c / 64;
+        self.bits[w] |= 1 << (c % 64);
+        self.dirty = self.dirty.max(w + 1);
+        self.len[count] += 1;
+        self.first[count] = self.first[count].min(c / 64);
+        self.low = self.low.min(count);
+    }
+
+    fn remove(&mut self, count: usize, c: usize) {
+        self.bits[count * self.stride + c / 64] &= !(1 << (c % 64));
+        self.len[count] -= 1;
+    }
+
+    /// The lowest `(count, position)` of any column, if one remains.
+    fn min(&mut self) -> Option<(usize, usize)> {
+        while *self.len.get(self.low)? == 0 {
+            self.low += 1;
+        }
+        let k = self.low;
+        let bucket = &self.bits[k * self.stride..(k + 1) * self.stride];
+        let mut w = self.first[k];
+        while bucket[w] == 0 {
+            w += 1;
+        }
+        self.first[k] = w;
+        Some((k, w * 64 + bucket[w].trailing_zeros() as usize))
+    }
 }
 
 impl Workspace {
-    /// Load the basis columns into the active matrix.
-    fn load<'c>(&mut self, m: usize, cols: impl IntoIterator<Item = &'c [(usize, f64)]>) {
-        self.input.clear();
-        let mut n = 0;
-        for (pos, col) in cols.into_iter().enumerate() {
+    /// Load the basis columns into the active matrix: rows list their
+    /// entries by ascending position, columns theirs in input order.
+    fn load<'c, I>(&mut self, m: usize, cols: I)
+    where
+        I: Iterator<Item = &'c [(usize, f64)]> + Clone,
+    {
+        self.sizes.clear();
+        self.sizes.resize(m, 0);
+        self.col_count.clear();
+        for col in cols.clone() {
+            let mut n = 0;
             for &(r, v) in col {
                 if v != 0.0 {
-                    self.input.push((r as u32, pos as u32, v));
+                    self.sizes[r] += 1;
+                    n += 1;
                 }
             }
-            n = pos + 1;
+            self.col_count.push(n);
         }
-        debug_assert_eq!(n, m);
-
-        self.sizes.clear();
-        self.sizes.resize(m, 0);
-        for &(r, _, _) in &self.input {
-            self.sizes[r as usize] += 1;
-        }
+        debug_assert_eq!(self.col_count.len(), m);
         self.rows.reset(&self.sizes);
-        self.sizes.clear();
-        self.sizes.resize(m, 0);
-        for &(_, pos, _) in &self.input {
-            self.sizes[pos as usize] += 1;
-        }
-        self.cols.reset(&self.sizes);
-        for &(r, pos, v) in &self.input {
-            debug_assert!(
-                !self.rows.get(r as usize).iter().any(|&(c, _)| c == pos),
-                "duplicate entry in basis column {pos}"
-            );
-            self.rows.push(r as usize, (pos, v));
-            self.cols.push(pos as usize, r);
+        self.cols.reset(&self.col_count);
+        for (pos, col) in cols.enumerate() {
+            for &(r, v) in col {
+                if v != 0.0 {
+                    debug_assert!(
+                        !self.rows.get(r).iter().any(|&(c, _)| c as usize == pos),
+                        "duplicate entry in basis column {pos}"
+                    );
+                    self.rows.push(r, (pos as u32, v));
+                    self.cols.push(pos, r as u32);
+                }
+            }
         }
 
-        self.col_count.clear();
-        self.col_count.extend_from_slice(&self.sizes);
         self.row_active.clear();
         self.row_active.resize(m, true);
-        self.col_active.clear();
-        self.col_active.resize(m, true);
         self.seen.clear();
         self.seen.resize(m, 0);
         self.pmark.clear();
         self.pmark.resize(m, 0);
         self.pivot_pos.clear();
-        let mut heap = std::mem::take(&mut self.heap).into_vec();
-        heap.clear();
-        heap.extend((0..m).map(|c| Reverse((self.col_count[c], c))));
-        self.heap = BinaryHeap::from(heap);
+        self.buckets.reset(m);
+        for (c, &n) in self.col_count.iter().enumerate() {
+            self.buckets.insert(n, c);
+        }
     }
 
     /// Pivot column: an active column with the fewest entries, ties to the
-    /// lowest position (lazy fix-up of stale heap entries).
+    /// lowest position. It leaves the active set.
     fn pivot_column(&mut self) -> Result<usize, Singular> {
-        loop {
-            let Some(Reverse((cnt, c))) = self.heap.pop() else {
-                // All heap entries stale; find any active column.
-                return Ok(self
-                    .col_active
-                    .iter()
-                    .position(|&a| a)
-                    .expect("active column remains before step m"));
-            };
-            if !self.col_active[c] {
-                continue;
-            }
-            if self.col_count[c] != cnt {
-                self.heap.push(Reverse((self.col_count[c], c)));
-                continue;
-            }
-            if cnt == 0 {
-                return Err(Singular { position: c });
-            }
-            return Ok(c);
+        let (cnt, c) = self
+            .buckets
+            .min()
+            .expect("active column remains before step m");
+        if cnt == 0 {
+            return Err(Singular { position: c });
         }
+        self.buckets.remove(cnt, c);
+        Ok(c)
+    }
+
+    /// Give active column `c` the entry count `to`.
+    fn recount(&mut self, c: usize, to: usize) {
+        self.buckets.remove(self.col_count[c], c);
+        self.buckets.insert(to, c);
+        self.col_count[c] = to;
     }
 
     /// Remove one entry from column `c`'s count.
     fn drop_entry(&mut self, c: usize) {
-        self.col_count[c] -= 1;
-        self.heap.push(Reverse((self.col_count[c], c)));
+        self.recount(c, self.col_count[c] - 1);
     }
 
     /// Row `r` -= `mult` × pivot row: updates the entries it shares with
@@ -347,7 +498,7 @@ impl Workspace {
             if val.abs() > ABS_TINY {
                 self.rows.push(r, (c, val));
                 self.cols.push(c as usize, r as u32);
-                self.col_count[c as usize] += 1;
+                self.recount(c as usize, self.col_count[c as usize] + 1);
             }
         }
     }
@@ -366,16 +517,17 @@ impl Factors {
     }
 
     /// Factor the basis given its columns (`cols` yields, per position,
-    /// the sparse column as `(row, value)` pairs with distinct rows),
-    /// replacing the current factors and dropping their eta file and
-    /// border. On error the factors are left empty.
-    pub fn factor<'c>(
-        &mut self,
-        m: usize,
-        cols: impl IntoIterator<Item = &'c [(usize, f64)]>,
-    ) -> Result<(), Singular> {
+    /// the sparse column as `(row, value)` pairs with distinct rows; it is
+    /// walked twice, once to count and once to fill), replacing the
+    /// current factors and dropping their eta file and border. On error
+    /// the factors are left empty.
+    pub fn factor<'c, I>(&mut self, m: usize, cols: I) -> Result<(), Singular>
+    where
+        I: IntoIterator<Item = &'c [(usize, f64)]>,
+        I::IntoIter: Clone,
+    {
         WORKSPACE.with_borrow_mut(|ws| {
-            let res = self.eliminate(ws, m, cols);
+            let res = self.eliminate(ws, m, cols.into_iter());
             if res.is_err() {
                 self.clear(0);
             }
@@ -396,13 +548,18 @@ impl Factors {
         self.border.clear();
         self.border_pivot.clear();
         self.border_at = 0;
+        self.l_steps.clear();
+        self.step_of_row.clear();
+        self.u_steps.clear();
+        self.ut_start.clear();
+        self.ut_step.clear();
     }
 
     fn eliminate<'c>(
         &mut self,
         ws: &mut Workspace,
         m: usize,
-        cols: impl IntoIterator<Item = &'c [(usize, f64)]>,
+        cols: impl Iterator<Item = &'c [(usize, f64)]> + Clone,
     ) -> Result<(), Singular> {
         self.clear(m);
         ws.load(m, cols);
@@ -475,10 +632,10 @@ impl Factors {
                 ws.pmark[c as usize] = 0;
             }
 
-            // Deactivate pivot row & column, fixing the counts of every
-            // column the pivot row touched.
+            // Deactivate the pivot row (the column left the active set
+            // when it was picked), fixing the counts of every column the
+            // pivot row touched.
             ws.row_active[pr] = false;
-            ws.col_active[pc] = false;
             for j in 0..ws.prow.len() {
                 ws.drop_entry(ws.prow[j].0 as usize);
             }
@@ -510,7 +667,50 @@ impl Factors {
                 r = next;
             }
         }
+        self.record_patterns();
         Ok(())
+    }
+
+    /// Record what the sparse solves walk: the steps with a non-empty L
+    /// column, the row → step map, the U pattern by step and its
+    /// transpose.
+    fn record_patterns(&mut self) {
+        let m = self.m;
+        self.l_steps
+            .extend((0..m as u32).filter(|&k| !self.l.range(k as usize).is_empty()));
+        self.step_of_row.resize(m, 0);
+        for (k, &r) in self.pivot_row.iter().enumerate() {
+            self.step_of_row[r as usize] = k as u32;
+        }
+        self.u_steps
+            .extend(self.u.idx.iter().map(|&r| self.step_of_row[r as usize]));
+        // Count, prefix-sum, then fill in ascending step order.
+        self.ut_start.resize(m + 1, 0);
+        for &j in &self.u_steps {
+            self.ut_start[j as usize + 1] += 1;
+        }
+        for j in 0..m {
+            self.ut_start[j + 1] += self.ut_start[j];
+        }
+        self.ut_step.resize(self.u_steps.len(), 0);
+        for k in 0..m {
+            for i in self.u.range(k) {
+                let j = self.u_steps[i] as usize;
+                // `ut_start[j]` runs ahead as step j's slots fill.
+                self.ut_step[self.ut_start[j] as usize] = k as u32;
+                self.ut_start[j] += 1;
+            }
+        }
+        // Each start now holds the next step's start: shift back.
+        for j in (1..=m).rev() {
+            self.ut_start[j] = self.ut_start[j - 1];
+        }
+        self.ut_start[0] = 0;
+    }
+
+    /// Earlier steps whose U row reads step `j`'s pivot row.
+    fn ut(&self, j: usize) -> &[u32] {
+        &self.ut_step[self.ut_start[j] as usize..self.ut_start[j + 1] as usize]
     }
 
     /// Extend the factorization in place for rows appended to the basis
@@ -575,7 +775,8 @@ impl Factors {
     pub fn ftran(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.dim());
         // Apply L row operations in elimination order.
-        for k in 0..self.m {
+        for &k in &self.l_steps {
+            let k = k as usize;
             let xv = x[self.pivot_row[k] as usize];
             if xv != 0.0 {
                 for (r, mult) in self.l.entries(k) {
@@ -583,17 +784,22 @@ impl Factors {
                 }
             }
         }
-        // Back-substitute U in row space: step k's solution lands in its
-        // pivot row, and the U entries name the rows holding the later
-        // steps' solutions, which are already final.
-        for k in (0..self.m).rev() {
-            let pr = self.pivot_row[k] as usize;
-            let mut val = x[pr];
-            for (r, v) in self.u.entries(k) {
-                val -= v * x[r];
+        // Back-substitute U in row space, last step first: step k's
+        // solution lands in its pivot row, and the U entries name the rows
+        // holding the later steps' solutions, which are already final. A
+        // step is nonzero only if its own row is or its U row reads a
+        // nonzero step, so the sparse loop follows the transposed pattern.
+        REACH.with_borrow_mut(|reach| {
+            if reach.collect(self, x, |j| self.ut(j)) {
+                for &k in reach.steps.iter().rev() {
+                    self.ftran_u_step(k as usize, x);
+                }
+            } else {
+                for k in (0..self.m).rev() {
+                    self.ftran_u_step(k, x);
+                }
             }
-            x[pr] = val / self.u_diag[k];
-        }
+        });
         // Into position order.
         for &(a, b) in &self.swaps {
             x.swap(a as usize, b as usize);
@@ -616,6 +822,15 @@ impl Factors {
         for e in self.border_at..self.eta_count() {
             self.eta_ftran(e, x);
         }
+    }
+
+    fn ftran_u_step(&self, k: usize, x: &mut [f64]) {
+        let pr = self.pivot_row[k] as usize;
+        let mut val = x[pr];
+        for (r, v) in self.u.entries(k) {
+            val -= v * x[r];
+        }
+        x[pr] = val / self.u_diag[k];
     }
 
     /// Solve `Bᵀ y = c` in place: `y` enters holding `c` (indexed by
@@ -646,27 +861,45 @@ impl Factors {
         }
         // Into row space, then solve Uᵀ w = c by forward scattering over
         // elimination steps; step k's `w` lands in its pivot row.
+        // A step scatters only when its row is nonzero, into the rows its
+        // U row names, so the sparse loop follows the U pattern itself.
         for &(a, b) in self.swaps.iter().rev() {
             y.swap(a as usize, b as usize);
         }
-        for k in 0..self.m {
-            let pr = self.pivot_row[k] as usize;
-            let wk = y[pr] / self.u_diag[k];
-            y[pr] = wk;
-            if wk != 0.0 {
-                for (r, v) in self.u.entries(k) {
-                    y[r] -= v * wk;
+        REACH.with_borrow_mut(|reach| {
+            let next = |k: usize| {
+                let r = self.u.range(k);
+                &self.u_steps[r]
+            };
+            if reach.collect(self, y, next) {
+                for &k in &reach.steps {
+                    self.btran_u_step(k as usize, y);
+                }
+            } else {
+                for k in 0..self.m {
+                    self.btran_u_step(k, y);
                 }
             }
-        }
+        });
         // Solve Lᵀ: reverse the transposed row operations.
-        for k in (0..self.m).rev() {
-            let pr = self.pivot_row[k] as usize;
+        for &k in self.l_steps.iter().rev() {
+            let pr = self.pivot_row[k as usize] as usize;
             let mut acc = y[pr];
-            for (r, mult) in self.l.entries(k) {
+            for (r, mult) in self.l.entries(k as usize) {
                 acc -= mult * y[r];
             }
             y[pr] = acc;
+        }
+    }
+
+    fn btran_u_step(&self, k: usize, y: &mut [f64]) {
+        let pr = self.pivot_row[k] as usize;
+        let wk = y[pr] / self.u_diag[k];
+        y[pr] = wk;
+        if wk != 0.0 {
+            for (r, v) in self.u.entries(k) {
+                y[r] -= v * wk;
+            }
         }
     }
 
@@ -1196,5 +1429,307 @@ mod tests {
         assert_eq!(f.eta_count(), 9);
         check(&f, &a, m);
         assert!(!f.append_rows(&[(vec![(0, 1.0)], 1.0)]));
+    }
+
+    /// FNV-1a over 64-bit words; zeros hash as +0, so the fingerprint
+    /// pins every nonzero bit and the position of every zero but not a
+    /// zero's sign.
+    struct Fingerprint(u64);
+
+    impl Fingerprint {
+        fn new() -> Self {
+            Fingerprint(0xCBF2_9CE4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+
+        fn value(&mut self, v: f64) {
+            self.word(if v == 0.0 { 0 } else { v.to_bits() });
+        }
+
+        fn vector(&mut self, v: &[f64]) {
+            self.word(v.len() as u64);
+            for &x in v {
+                self.value(x);
+            }
+        }
+
+        /// Every stored operation of the factors, step by step.
+        fn factors(&mut self, f: &Factors) {
+            self.word(f.m as u64);
+            for k in 0..f.m {
+                self.word(u64::from(f.pivot_row[k]));
+                self.value(f.u_diag[k]);
+                for part in [&f.l, &f.u] {
+                    self.word(part.range(k).len() as u64);
+                    for (i, v) in part.entries(k) {
+                        self.word(i as u64);
+                        self.value(v);
+                    }
+                }
+            }
+            for &(a, b) in &f.swaps {
+                self.word(u64::from(a) << 32 | u64::from(b));
+            }
+        }
+
+        /// FTRAN and BTRAN of unit vectors, sparse columns, sparse cost
+        /// vectors and dense vectors of dimension `dim`.
+        fn solves(&mut self, f: &Factors, dim: usize, next: &mut impl FnMut() -> u64) {
+            let run = |fp: &mut Self, rhs: &[f64]| {
+                let mut x = rhs.to_vec();
+                f.ftran(&mut x);
+                fp.vector(&x);
+                let mut y = rhs.to_vec();
+                f.btran(&mut y);
+                fp.vector(&y);
+            };
+            let mut rhs = vec![0.0; dim];
+            for i in (0..dim).step_by((dim / 23).max(1)) {
+                rhs[i] = 1.0;
+                run(self, &rhs);
+                rhs[i] = 0.0;
+            }
+            for _ in 0..12 {
+                let nnz = 1 + (next() % 4) as usize;
+                let picks: Vec<usize> = (0..nnz).map(|_| (next() % dim as u64) as usize).collect();
+                for &i in &picks {
+                    rhs[i] += (next() % 7) as f64 - 3.0;
+                }
+                run(self, &rhs);
+                for &i in &picks {
+                    rhs[i] = 0.0;
+                }
+            }
+            let dense: Vec<f64> = (0..dim).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+            run(self, &dense);
+            let dense: Vec<f64> = (0..dim).map(|i| (i % 5) as f64 - 1.5).collect();
+            run(self, &dense);
+        }
+    }
+
+    /// A basis whose elimination fills in: each column holds a dominant
+    /// diagonal entry plus two random off-diagonal entries, and every
+    /// third column also an entry in one shared long row.
+    fn fill_basis(m: usize, seed: u64) -> Vec<Vec<(usize, f64)>> {
+        let mut next = rng(seed);
+        let long_row = (next() % m as u64) as usize;
+        (0..m)
+            .map(|p| {
+                let mut col = vec![(p, 8.0 + (next() % 8) as f64)];
+                for _ in 0..2 {
+                    let r = (next() % m as u64) as usize;
+                    let v = (next() % 7) as f64 - 3.0;
+                    if v != 0.0 && col.iter().all(|&(q, _)| q != r) {
+                        col.push((r, v));
+                    }
+                }
+                if p % 3 == 0 && col.iter().all(|&(q, _)| q != long_row) {
+                    col.push((long_row, 1.0));
+                }
+                col.sort_unstable_by_key(|&(r, _)| r);
+                col
+            })
+            .collect()
+    }
+
+    /// Replace a position through an eta update with a random difference
+    /// column: the position where its FTRAN image is largest, so the
+    /// update is always stable.
+    fn eta_replace(f: &mut Factors, dim: usize, next: &mut impl FnMut() -> u64) {
+        let mut w = vec![0.0; dim];
+        w[(next() % dim as u64) as usize] = 1.0;
+        w[(next() % dim as u64) as usize] -= 1.0;
+        w[(next() % dim as u64) as usize] += 2.0;
+        f.ftran(&mut w);
+        let pos = (0..dim).fold(
+            0,
+            |best, i| if w[i].abs() > w[best].abs() { i } else { best },
+        );
+        assert!(f.update(pos, &w), "largest entry is a stable pivot");
+    }
+
+    /// Fingerprint of one basis through its life: fresh factors and
+    /// solves, solves after eta updates, after a bordered extension, and
+    /// after post-border eta updates.
+    fn kernel_fingerprint(m: usize, cols: &[Vec<(usize, f64)>], seed: u64) -> u64 {
+        let mut next = rng(seed);
+        let mut fp = Fingerprint::new();
+        let mut f = factor_cols(m, cols).expect("fingerprint basis factors");
+        fp.factors(&f);
+        fp.solves(&f, m, &mut next);
+        for _ in 0..5 {
+            eta_replace(&mut f, m, &mut next);
+        }
+        fp.solves(&f, m, &mut next);
+        let added = 4;
+        let rows: Vec<(Vec<(usize, f64)>, f64)> = (0..added)
+            .map(|i| {
+                let p = (next() % m as u64) as usize;
+                let q = (next() % (m + i) as u64) as usize;
+                let mut entries = vec![(p, 1.0)];
+                if q != p {
+                    entries.push((q, -1.0));
+                }
+                (entries, 1.0)
+            })
+            .collect();
+        assert!(f.append_rows(&rows));
+        fp.solves(&f, m + added, &mut next);
+        for _ in 0..3 {
+            eta_replace(&mut f, m + added, &mut next);
+        }
+        fp.solves(&f, m + added, &mut next);
+        fp.0
+    }
+
+    /// Factors and FTRAN/BTRAN results, bit for bit (zero signs aside),
+    /// as recorded before the kernel's pivot search and solves were
+    /// last reworked: any change to the pivot path or to the order of a
+    /// single arithmetic operation on a nonzero shows here.
+    #[test]
+    fn kernel_fingerprints_are_pinned() {
+        let mut got = Vec::new();
+        for (i, m) in [10usize, 37, 150, 600, 2000].into_iter().enumerate() {
+            let seed = 0x5EED + i as u64;
+            got.push(kernel_fingerprint(m, &network_basis(m, seed), seed));
+            got.push(kernel_fingerprint(m, &fill_basis(m, seed), seed));
+        }
+        let want: [u64; 10] = [
+            1262254294311715541,
+            10310182876686775637,
+            17959205572645464919,
+            6460987845128766534,
+            16410680475707312801,
+            13124445088228219358,
+            17710626351976691161,
+            18123210840911610517,
+            3191127253392804532,
+            12556747020116612645,
+        ];
+        assert_eq!(got, want, "kernel fingerprints moved");
+    }
+
+    /// Columns that run out of entries: a structurally empty column, and
+    /// columns that lose their last entry to elimination (equal copies,
+    /// a column inside the span of two others). The reported position is
+    /// the lowest-position empty column, as recorded before the pivot
+    /// search was last reworked.
+    #[test]
+    fn count_zero_columns_report_the_recorded_position() {
+        let cases: [(usize, Vec<Vec<(usize, f64)>>); 4] = [
+            (3, vec![vec![(0, 1.0)], vec![], vec![(1, 2.0), (2, 1.0)]]),
+            (
+                3,
+                vec![vec![(1, 1.0)], vec![(0, 1.0), (2, 1.0)], vec![(1, 3.0)]],
+            ),
+            (
+                4,
+                vec![
+                    vec![(0, 1.0), (1, 1.0)],
+                    vec![(1, 1.0), (2, 1.0)],
+                    vec![(0, 1.0), (2, -1.0)],
+                    vec![(3, 1.0)],
+                ],
+            ),
+            (
+                5,
+                vec![
+                    vec![(0, 2.0), (1, 1.0), (4, 1.0)],
+                    vec![(2, 1.0)],
+                    vec![(0, 4.0), (1, 2.0), (4, 2.0)],
+                    vec![(3, 1.0), (4, 5.0)],
+                    vec![(1, 1.0), (3, 1.0)],
+                ],
+            ),
+        ];
+        let got: Vec<usize> = cases
+            .iter()
+            .map(|(m, cols)| factor_cols(*m, cols).expect_err("singular").position)
+            .collect();
+        assert_eq!(got, [1, 2, 2, 2]);
+    }
+
+    /// Random inserts, removals and count moves against a brute-force
+    /// argmin over `(count, position)`, through empty buckets, count 0
+    /// and the largest count, and across resets to other sizes.
+    #[test]
+    fn count_buckets_track_the_lowest_count_and_position() {
+        let mut next = rng(0xB0C4);
+        let mut b = CountBuckets::default();
+        for m in [1usize, 63, 64, 65, 200, 130, 7] {
+            b.reset(m);
+            let mut count: Vec<Option<usize>> = vec![None; m];
+            for _ in 0..20 * m {
+                let c = (next() % m as u64) as usize;
+                match count[c] {
+                    None => {
+                        let n = (next() % (m as u64 + 1)) as usize;
+                        b.insert(n, c);
+                        count[c] = Some(n);
+                    }
+                    Some(n) if next().is_multiple_of(4) => {
+                        b.remove(n, c);
+                        count[c] = None;
+                    }
+                    Some(n) => {
+                        let to = if next().is_multiple_of(2) {
+                            n.saturating_sub(1)
+                        } else {
+                            (n + 1).min(m)
+                        };
+                        b.remove(n, c);
+                        b.insert(to, c);
+                        count[c] = Some(to);
+                    }
+                }
+                let want = (0..m).filter_map(|c| count[c].map(|n| (n, c))).min();
+                assert_eq!(b.min(), want, "m = {m}");
+            }
+        }
+    }
+
+    /// Fill-in moves columns to higher counts and cancellation to lower
+    /// ones; the factors of fill-heavy bases still solve their systems.
+    #[test]
+    fn fill_bases_solve() {
+        for (trial, m) in [5usize, 30, 120, 300].into_iter().enumerate() {
+            let cols = fill_basis(m, 0xF111 + trial as u64);
+            let a = cols_to_dense(m, &cols);
+            let f = factor_cols(m, &cols).expect("fill basis factors");
+            let filled = f.l.idx.len() + f.u.idx.len() + m;
+            let input: usize = cols.iter().map(Vec::len).sum();
+            assert!(m < 30 || filled > input, "m = {m}: no fill-in");
+            let x_true: Vec<f64> = (0..m).map(|i| (i % 9) as f64 - 4.0).collect();
+            let mut b = mat_vec(&a, &x_true);
+            f.ftran(&mut b);
+            assert_close(&b, &x_true);
+            let mut c = mat_t_vec(&a, &x_true);
+            f.btran(&mut c);
+            assert_close(&c, &x_true);
+        }
+    }
+
+    /// A unit right-hand side on a large network basis reaches few steps,
+    /// so FTRAN and BTRAN take the sparse loops; a dense one does not.
+    #[test]
+    fn sparse_right_hand_sides_take_the_sparse_loops() {
+        let m = 600;
+        let f = factor_cols(m, &network_basis(m, 0x5A)).expect("factors");
+        let mut reach = Reach::default();
+        let mut x = vec![0.0; m];
+        x[f.pivot_row[m / 2] as usize] = 1.0;
+        assert!(reach.collect(&f, &x, |j| f.ut(j)));
+        assert!(reach.collect(&f, &x, |k| &f.u_steps[f.u.range(k)]));
+        assert!(reach.steps.windows(2).all(|w| w[0] < w[1]));
+        assert!(reach.mark.iter().all(|&b| !b), "marks left set");
+        let dense = vec![1.0; m];
+        assert!(!reach.collect(&f, &dense, |j| f.ut(j)));
+        assert!(reach.mark.iter().all(|&b| !b), "marks left set");
     }
 }

@@ -27,9 +27,9 @@ use crate::model::{Model, Sense};
 use pipemap_obs::metrics;
 
 /// Start a per-solve timer only when the metrics registry is live, and
-/// record the LP's iteration count, wall time and LU factorizations on
-/// completion. Telemetry is read-only: nothing here feeds back into
-/// pivoting.
+/// record the LP's iteration count, wall time, LU factorizations and
+/// adopted sibling factors on completion. Telemetry is read-only: nothing
+/// here feeds back into pivoting.
 fn lp_metrics_start() -> Option<Instant> {
     metrics::enabled().then(Instant::now)
 }
@@ -39,6 +39,7 @@ fn lp_metrics_record(t0: Option<Instant>, iters: usize, lu: FactorTally, warm: b
     metrics::histogram("lp.solve_us").record(t0.elapsed().as_micros() as f64);
     metrics::histogram("lp.iters").record(iters as f64);
     metrics::counter("lp.factorizations").add(lu.count as u64);
+    metrics::counter("lp.factor_reuses").add(lu.reuses as u64);
     metrics::histogram("lp.factor_us").record(lu.time.as_micros() as f64);
     if warm {
         metrics::counter("lp.warm_solves").inc();
@@ -87,9 +88,6 @@ pub(crate) struct LpSolution {
     pub x: Vec<f64>,
     /// Objective value (meaningless unless `status == Optimal`).
     pub obj: f64,
-    /// Dual values per row (for optimality certificates in tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub y: Vec<f64>,
     /// Simplex iterations performed.
     pub iters: usize,
 }
@@ -173,30 +171,10 @@ impl LpProblem {
         ub: &[f64],
         deadline: Option<Instant>,
     ) -> Result<(LpSolution, Option<WarmBasis>), LpAbort> {
-        let t0 = lp_metrics_start();
-        let mut lu = FactorTally::default();
-        for attempt in 0..5 {
-            let mut w = Worker::new(self, lb, ub);
-            // Diversify retries: perturbed pricing first, Bland's rule last.
-            w.price_seed = attempt as u64;
-            w.always_bland = attempt >= 3;
-            match w.run(deadline) {
-                Err(LpAbort::Singular) => lu.add(w.lu),
-                Ok(sol) => {
-                    let snap = if sol.status == LpStatus::Optimal {
-                        w.pivot_out_artificials();
-                        w.snapshot()
-                    } else {
-                        None
-                    };
-                    lu.add(w.lu);
-                    lp_metrics_record(t0, sol.iters, lu, false);
-                    return Ok((sol, snap));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(LpAbort::Numerical("repeated singular bases".into()))
+        self.solve_cold(lb, ub, deadline, |w| {
+            w.pivot_out_artificials();
+            w.snapshot()
+        })
     }
 
     /// Cold primal solve that additionally captures simplex-tableau rows
@@ -214,43 +192,36 @@ impl LpProblem {
         frac_tol: f64,
         max_rows: usize,
     ) -> Result<(LpSolution, Option<TableauData>), LpAbort> {
-        for attempt in 0..5 {
-            let mut w = Worker::new(self, lb, ub);
-            w.price_seed = attempt as u64;
-            w.always_bland = attempt >= 3;
-            match w.run(deadline) {
-                Err(LpAbort::Singular) => continue,
-                Ok(sol) => {
-                    let tab = if sol.status == LpStatus::Optimal {
-                        w.tableau(candidate, frac_tol, max_rows)
-                    } else {
-                        None
-                    };
-                    return Ok((sol, tab));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(LpAbort::Numerical("repeated singular bases".into()))
+        self.solve_cold(lb, ub, deadline, |w| {
+            w.tableau(candidate, frac_tol, max_rows)
+        })
     }
 
     /// Re-optimize from a parent basis after a bound change using the dual
     /// simplex. Returns `Err(LpAbort::Singular)` whenever the warm start
     /// cannot be trusted (stale snapshot, dual-infeasible start, numerical
     /// trouble); the caller should then fall back to [`Self::solve_primal`].
+    ///
+    /// `fresh`, when given, carries the fresh factors of `warm`'s basis
+    /// between the two children of a node, which restart from the same
+    /// snapshot: if it holds factors they are adopted in place of a
+    /// refactorization, otherwise it receives a copy of the factors this
+    /// solve computes, before any pivot.
     pub fn solve_dual_warm(
         &self,
         lb: &[f64],
         ub: &[f64],
         warm: &WarmBasis,
+        fresh: Option<&mut Option<Factors>>,
         deadline: Option<Instant>,
     ) -> Result<(LpSolution, Option<WarmBasis>), LpAbort> {
         let t0 = lp_metrics_start();
-        let mut w = Worker::from_basis(self, lb, ub, warm)?;
-        if !w.dual_feasible(1e-6) {
+        let mut w = Worker::from_basis(self, lb, ub, warm, fresh)?;
+        let mut y = Vec::new();
+        if !w.dual_feasible(1e-6, &mut y) {
             return Err(LpAbort::Singular);
         }
-        let sol = w.run_dual(deadline)?;
+        let sol = w.run_dual(deadline, y)?;
         let snap = if sol.status == LpStatus::Optimal {
             w.snapshot()
         } else {
@@ -268,6 +239,24 @@ impl LpProblem {
         ub: &[f64],
         deadline: Option<Instant>,
     ) -> Result<(LpSolution, Option<(WarmBasis, Factors)>), LpAbort> {
+        self.solve_cold(lb, ub, deadline, |w| {
+            w.pivot_out_artificials();
+            w.snapshot_with_factors()
+        })
+    }
+
+    /// The one cold two-phase primal solve: a singular basis restarts from
+    /// scratch with diversified pricing (perturbed first, Bland's rule
+    /// last) up to five times. On optimality `extract` reads what the
+    /// caller needs from the final worker. Every completed solve records
+    /// its `lp.*` metrics, retries included.
+    fn solve_cold<T>(
+        &self,
+        lb: &[f64],
+        ub: &[f64],
+        deadline: Option<Instant>,
+        extract: impl FnOnce(&mut Worker<'_>) -> Option<T>,
+    ) -> Result<(LpSolution, Option<T>), LpAbort> {
         let t0 = lp_metrics_start();
         let mut lu = FactorTally::default();
         for attempt in 0..5 {
@@ -277,15 +266,14 @@ impl LpProblem {
             match w.run(deadline) {
                 Err(LpAbort::Singular) => lu.add(w.lu),
                 Ok(sol) => {
-                    let snap = if sol.status == LpStatus::Optimal {
-                        w.pivot_out_artificials();
-                        w.snapshot_with_factors()
+                    let extra = if sol.status == LpStatus::Optimal {
+                        extract(&mut w)
                     } else {
                         None
                     };
                     lu.add(w.lu);
                     lp_metrics_record(t0, sol.iters, lu, false);
-                    return Ok((sol, snap));
+                    return Ok((sol, extra));
                 }
                 Err(e) => return Err(e),
             }
@@ -316,14 +304,15 @@ impl LpProblem {
         let t0 = lp_metrics_start();
         let (mut w, reused) = match factors {
             Some(f) => Worker::from_basis_cached(self, lb, ub, warm, f)?,
-            None => (Worker::from_basis(self, lb, ub, warm)?, false),
+            None => (Worker::from_basis(self, lb, ub, warm, None)?, false),
         };
         let sol = match mode {
             WarmMode::Dual => {
-                if !w.dual_feasible(1e-6) {
+                let mut y = Vec::new();
+                if !w.dual_feasible(1e-6, &mut y) {
                     return Err(LpAbort::Singular);
                 }
-                w.run_dual(deadline)?
+                w.run_dual(deadline, y)?
             }
             WarmMode::Primal => {
                 if !w.primal_feasible(1e-6) {
@@ -752,7 +741,7 @@ impl<'a> Worker<'a> {
         let saved_status = self.status.clone();
         let m = self.p.m;
         let mut rho = vec![0.0; m];
-        let mut y = vec![0.0; m];
+        let mut y = Vec::new();
         let mut done = true;
         'positions: for pos in 0..m {
             if self.basis[pos] < n {
@@ -766,10 +755,7 @@ impl<'a> Worker<'a> {
             }
             rho[pos] = 1.0;
             self.factors.btran(&mut rho);
-            for (p2, v) in y.iter_mut().enumerate() {
-                *v = self.cost[self.basis[p2]];
-            }
-            self.factors.btran(&mut y);
+            self.duals_into(&mut y);
             // Entering column: nonbasic, real, |alpha| above the pivot
             // tolerance. Zero-reduced-cost columns are strongly preferred
             // — entering one leaves the duals (hence every reduced-cost
@@ -819,7 +805,7 @@ impl<'a> Worker<'a> {
             && clean
             && self.residual_ok(1e-6)
             && self.primal_feasible(1e-6)
-            && self.dual_feasible(1e-6))
+            && self.dual_feasible(1e-6, &mut y))
         {
             // Restore: the original basis factored before, so this
             // refactorization is expected to succeed; if it still fails
@@ -903,14 +889,36 @@ impl<'a> Worker<'a> {
     /// bounds. Validates the snapshot against the problem dimensions and
     /// normalizes nonbasic statuses whose bound went away; any mismatch is
     /// `Err(LpAbort::Singular)` (= fall back to a cold solve).
+    ///
+    /// Factoring depends on the basis alone, so factors a sibling computed
+    /// for the same snapshot (`fresh` holding them) are exactly the ones a
+    /// refactorization would give: they are adopted and only x_B is
+    /// recomputed for this worker's bounds. An empty `fresh` receives a
+    /// copy of the factors computed here.
     fn from_basis(
         p: &'a LpProblem,
         lb_in: &[f64],
         ub_in: &[f64],
         warm: &WarmBasis,
+        fresh: Option<&mut Option<Factors>>,
     ) -> Result<Self, LpAbort> {
         let mut w = Self::from_basis_unfactored(p, lb_in, ub_in, warm)?;
-        w.refactor()?;
+        match fresh {
+            Some(slot) => match slot.take() {
+                Some(f) => {
+                    debug_assert_eq!(f.dim(), p.m);
+                    debug_assert_eq!(f.eta_count(), 0);
+                    w.factors = f;
+                    w.lu.reuses += 1;
+                    w.recompute_x_basic();
+                }
+                None => {
+                    w.refactor()?;
+                    *slot = Some(w.factors.clone());
+                }
+            },
+            None => w.refactor()?,
+        }
         Ok(w)
     }
 
@@ -1059,21 +1067,25 @@ impl<'a> Worker<'a> {
         self.snapshot().map(|wb| (wb, self.factors.clone()))
     }
 
+    /// Duals of the current basis, `y = B⁻ᵀ c_B`, into `y` (indexed by
+    /// row).
+    fn duals_into(&self, y: &mut Vec<f64>) {
+        y.clear();
+        y.extend(self.basis.iter().map(|&j| self.cost[j]));
+        self.factors.btran(y);
+    }
+
     /// Are the phase-2 reduced costs sign-consistent with every nonbasic
     /// status? Warm starts require this before dual pivoting is sound.
-    fn dual_feasible(&self, tol: f64) -> bool {
-        let m = self.p.m;
-        let mut y = vec![0.0; m];
-        for (pos, &j) in self.basis.iter().enumerate() {
-            y[pos] = self.cost[j];
-        }
-        self.factors.btran(&mut y);
+    /// Leaves the duals it checked in `y`.
+    fn dual_feasible(&self, tol: f64, y: &mut Vec<f64>) -> bool {
+        self.duals_into(y);
         for j in 0..self.n_total() {
             let st = self.status[j];
             if matches!(st, VStat::Basic(_)) || self.lb[j] == self.ub[j] {
                 continue;
             }
-            let d = self.cost[j] - self.dot_col(j, &y);
+            let d = self.cost[j] - self.dot_col(j, y);
             let free = !self.lb[j].is_finite() && !self.ub[j].is_finite();
             let ok = if free {
                 d.abs() <= tol
@@ -1090,9 +1102,10 @@ impl<'a> Worker<'a> {
     }
 
     /// Warm-start driver: dual pivots until primal feasible, then a primal
-    /// cleanup pass to certify optimality.
-    fn run_dual(&mut self, deadline: Option<Instant>) -> Result<LpSolution, LpAbort> {
-        match self.optimize_dual(deadline)? {
+    /// cleanup pass to certify optimality. `y` holds the duals of the
+    /// starting basis, as [`Worker::dual_feasible`] left them.
+    fn run_dual(&mut self, deadline: Option<Instant>, y: Vec<f64>) -> Result<LpSolution, LpAbort> {
+        match self.optimize_dual(deadline, y)? {
             DualOutcome::Infeasible => Ok(self.finish(LpStatus::Infeasible)),
             DualOutcome::PrimalFeasible => {
                 self.bland = false;
@@ -1116,14 +1129,21 @@ impl<'a> Worker<'a> {
     /// `x_{B(r)} = β₀ − Σ α_j x_j` over nonbasic `j`, and the current
     /// nonbasic point already extremizes the right-hand side toward the
     /// violated bound — no feasible point exists.
-    fn optimize_dual(&mut self, deadline: Option<Instant>) -> Result<DualOutcome, LpAbort> {
+    ///
+    /// `y` enters holding the duals of the starting basis, which the first
+    /// iteration uses as they are.
+    fn optimize_dual(
+        &mut self,
+        deadline: Option<Instant>,
+        mut y: Vec<f64>,
+    ) -> Result<DualOutcome, LpAbort> {
         let m = self.p.m;
         if m == 0 {
             return Ok(DualOutcome::PrimalFeasible);
         }
         let mut w = vec![0.0; m];
         let mut rho = vec![0.0; m];
-        let mut y = vec![0.0; m];
+        let mut y_current = true;
         let mut stall = 0usize;
         let mut last_viol = f64::INFINITY;
         let start_iters = self.iters;
@@ -1177,10 +1197,11 @@ impl<'a> Worker<'a> {
             }
             rho[r] = 1.0;
             self.factors.btran(&mut rho);
-            for (pos, &j) in self.basis.iter().enumerate() {
-                y[pos] = self.cost[j];
+            if !y_current {
+                self.duals_into(&mut y);
             }
-            self.factors.btran(&mut y);
+            // Every path below pivots or returns.
+            y_current = false;
 
             // Dual ratio test: among columns whose allowed movement pushes
             // x_B[r] toward the violated bound, take the smallest
@@ -1296,18 +1317,10 @@ impl<'a> Worker<'a> {
             };
         }
         let obj = (0..self.p.n_struct).map(|j| self.p.obj[j] * x_all[j]).sum();
-        // Duals from the final basis.
-        let mut y = vec![0.0; self.p.m];
-        for (pos, &j) in self.basis.iter().enumerate() {
-            y[pos] = self.cost[j];
-        }
-        // y currently holds c_B by position; btran converts to row duals.
-        self.factors.btran(&mut y);
         LpSolution {
             status,
             x: x_all[..self.p.n_struct].to_vec(),
             obj,
-            y,
             iters: self.iters,
         }
     }
@@ -1316,7 +1329,7 @@ impl<'a> Worker<'a> {
     fn optimize(&mut self, deadline: Option<Instant>) -> Result<InnerStatus, LpAbort> {
         let m = self.p.m;
         let mut w = vec![0.0; m];
-        let mut y = vec![0.0; m];
+        let mut y = Vec::with_capacity(m);
         loop {
             self.iters += 1;
             if self.iters > MAX_ITERS {
@@ -1330,11 +1343,7 @@ impl<'a> Worker<'a> {
                 }
             }
 
-            // Duals: y = B⁻ᵀ c_B.
-            for (pos, &j) in self.basis.iter().enumerate() {
-                y[pos] = self.cost[j];
-            }
-            self.factors.btran(&mut y);
+            self.duals_into(&mut y);
 
             // Pricing.
             let mut enter: Option<(usize, f64, f64)> = None; // (col, d, dir)
@@ -1495,18 +1504,21 @@ fn basis_col<'a>(p: &'a LpProblem, art_cols: &'a [(usize, f64)], j: usize) -> &'
 }
 
 /// LU factorizations an LP solve performed (cold start, warm-start
-/// refactor, eta-limit or unstable-update refactor, artificial pivot-out)
-/// and, with metrics on, their total wall time.
+/// refactor, eta-limit or unstable-update refactor, artificial pivot-out),
+/// with metrics on their total wall time, and the sibling factors it
+/// adopted instead of factoring.
 #[derive(Debug, Clone, Copy, Default)]
 struct FactorTally {
     count: usize,
     time: Duration,
+    reuses: usize,
 }
 
 impl FactorTally {
     fn add(&mut self, other: FactorTally) {
         self.count += other.count;
         self.time += other.time;
+        self.reuses += other.reuses;
     }
 }
 
@@ -1715,10 +1727,18 @@ mod tests {
                 m.add_constraint(e, sense, rhs);
             }
             let p = LpProblem::from_model(&m);
-            let s = p.solve().expect("no numerical failure");
+            // The duals of the final basis, read from the solving worker.
+            let (s, y) = p
+                .solve_cold(&p.lb, &p.ub, None, |w| {
+                    let mut y = Vec::new();
+                    w.duals_into(&mut y);
+                    Some(y)
+                })
+                .expect("no numerical failure");
             if s.status != LpStatus::Optimal {
                 continue;
             }
+            let y = y.expect("optimal solves report duals");
             optimal_count += 1;
             // Primal feasibility.
             assert!(
@@ -1727,8 +1747,7 @@ mod tests {
             );
             // Reduced-cost conditions for structural variables.
             for (j, &v) in vars.iter().enumerate() {
-                let d: f64 =
-                    m.cols[j].obj - p.cols[j].iter().map(|&(r, c)| c * s.y[r]).sum::<f64>();
+                let d: f64 = m.cols[j].obj - p.cols[j].iter().map(|&(r, c)| c * y[r]).sum::<f64>();
                 let (lo, hi) = m.bounds(v);
                 let at_lower = (s.x[j] - lo).abs() < 1e-5;
                 let at_upper = (s.x[j] - hi).abs() < 1e-5;
@@ -1764,7 +1783,7 @@ mod tests {
         let mut ub = p.ub.clone();
         ub[0] = 2.0;
         let (ws, wsnap) = p
-            .solve_dual_warm(&p.lb, &ub, &warm, None)
+            .solve_dual_warm(&p.lb, &ub, &warm, None, None)
             .expect("warm start accepted");
         let cold = p.solve_with_bounds(&p.lb, &ub, None).expect("cold solves");
         assert_eq!(ws.status, LpStatus::Optimal);
@@ -1797,7 +1816,7 @@ mod tests {
         ub[0] = 1.0;
         ub[1] = 1.0;
         let (ws, _) = p
-            .solve_dual_warm(&p.lb, &ub, &warm, None)
+            .solve_dual_warm(&p.lb, &ub, &warm, None, None)
             .expect("warm start accepted");
         assert_eq!(ws.status, LpStatus::Infeasible);
     }
@@ -1996,7 +2015,7 @@ mod tests {
                 continue;
             }
             let cold = p.solve_with_bounds(&lb2, &ub2, None).expect("cold");
-            match p.solve_dual_warm(&lb2, &ub2, &warm, None) {
+            match p.solve_dual_warm(&lb2, &ub2, &warm, None, None) {
                 Err(LpAbort::Singular) => continue, // fallback path; allowed
                 Err(e) => panic!("warm abort {e:?}"),
                 Ok((ws, _)) => {
@@ -2014,5 +2033,98 @@ mod tests {
             }
         }
         assert!(compared > 20, "only {compared} warm/cold comparisons ran");
+    }
+
+    /// A warm child adopting the fresh factors its sibling left (a hit)
+    /// returns exactly what it returns when it factors the parent basis
+    /// itself (a miss): status, objective and x bits, iteration count and
+    /// the snapshot it hands on.
+    #[test]
+    fn sibling_factor_hit_matches_miss() {
+        let mut state = 0x51B1_1265_u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let bits = |s: &LpSolution| {
+            (
+                s.status,
+                s.obj.to_bits(),
+                s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                s.iters,
+            )
+        };
+        let mut hits = 0;
+        for trial in 0..120 {
+            let n = 3 + (next() % 28) as usize;
+            let rows = 2 + (next() % 24) as usize;
+            let mut m = Model::new("siblings");
+            let vars: Vec<_> = (0..n)
+                .map(|_| {
+                    let lo = (next() % 3) as f64 - 1.0;
+                    let hi = lo + 2.0 + (next() % 6) as f64;
+                    m.add_continuous(lo, hi, (next() % 9) as f64 - 4.0)
+                })
+                .collect();
+            for _ in 0..rows {
+                let mut e = LinExpr::new();
+                for &v in &vars {
+                    if next() % 4 == 0 {
+                        e.add_term((next() % 7) as f64 - 3.0, v);
+                    }
+                }
+                let sense = if next() % 2 == 0 {
+                    Sense::Le
+                } else {
+                    Sense::Ge
+                };
+                m.add_constraint(e, sense, (next() % 11) as f64 - 3.0);
+            }
+            let p = LpProblem::from_model(&m);
+            let Ok((root, Some(warm))) = p.solve_primal(&p.lb, &p.ub, None) else {
+                continue;
+            };
+            if root.status != LpStatus::Optimal {
+                continue;
+            }
+            // Branch on the variable with the most fractional value.
+            let j = (0..n)
+                .max_by(|&a, &b| {
+                    let f = |v: f64| (v - v.floor() - 0.5).abs();
+                    f(root.x[b])
+                        .partial_cmp(&f(root.x[a]))
+                        .unwrap_or(Ordering::Equal)
+                })
+                .expect("columns");
+            let (mut ub_down, mut lb_up) = (p.ub.clone(), p.lb.clone());
+            ub_down[j] = root.x[j].floor();
+            lb_up[j] = root.x[j].floor() + 1.0;
+            for (lb, ub) in [(&p.lb, &ub_down), (&lb_up, &p.ub)] {
+                let mut fresh = None;
+                let first = p.solve_dual_warm(&p.lb, &ub_down, &warm, Some(&mut fresh), None);
+                let Some(f) = fresh else {
+                    assert!(
+                        first.is_err(),
+                        "trial {trial}: factored without leaving a copy"
+                    );
+                    continue;
+                };
+                assert_eq!(f.eta_count(), 0, "the copy is taken before any pivot");
+                let hit = p.solve_dual_warm(lb, ub, &warm, Some(&mut Some(f)), None);
+                let miss = p.solve_dual_warm(lb, ub, &warm, None, None);
+                match (hit, miss) {
+                    (Ok((h, hs)), Ok((m, ms))) => {
+                        assert_eq!(bits(&h), bits(&m), "trial {trial}");
+                        assert_eq!(format!("{hs:?}"), format!("{ms:?}"), "trial {trial}");
+                        hits += 1;
+                    }
+                    (Err(h), Err(m)) => assert_eq!(h, m, "trial {trial}"),
+                    (h, m) => panic!("trial {trial}: hit {h:?} vs miss {m:?}"),
+                }
+            }
+        }
+        assert!(hits > 40, "only {hits} sibling solves compared");
     }
 }

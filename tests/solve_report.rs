@@ -15,7 +15,8 @@ use std::time::Duration;
 
 use pipemap::core::{run_flow, Flow, FlowOptions, FlowResult};
 use pipemap::ir::{random_dfg, Dfg, RandomDfgConfig, Target};
-use pipemap::milp::Status;
+use pipemap::milp::analysis::{analyze, root_cut_loop, AnalysisConfig, CutLoopConfig};
+use pipemap::milp::{LinExpr, Model, Sense, Status};
 use pipemap::obs;
 use pipemap::obs::{chrome, metrics, report, validate};
 
@@ -202,4 +203,56 @@ fn metrics_enabled_runs_are_deterministic() {
             "schedule/cover diverged at jobs={jobs} metered={metered}"
         );
     }
+}
+
+#[test]
+fn gomory_round_zero_root_lp_is_metered() {
+    let _l = OBS_LOCK.lock().expect("obs lock");
+    // Round 0 of the cut loop solves its root LP through the
+    // tableau-extracting cold solve when Gomory separation is on. That LP
+    // must be metered like every other: the `lp.iters` histogram holds
+    // one observation per LP the loop solved, and its sum is the loop's
+    // own iteration count.
+    let mut m = Model::new("gomory-metered");
+    let x = m.add_integer(0.0, 10.0, -5.0);
+    let y = m.add_integer(0.0, 10.0, -4.0);
+    m.add_constraint(
+        LinExpr::term(6.0, x) + LinExpr::term(4.0, y),
+        Sense::Le,
+        24.0,
+    );
+    m.add_constraint(LinExpr::from(x) + LinExpr::term(2.0, y), Sense::Le, 6.0);
+    let sa = analyze(&m, &AnalysisConfig::default());
+    let cfg = CutLoopConfig {
+        gomory: true,
+        ..CutLoopConfig::default()
+    };
+    metrics::reset();
+    metrics::enable();
+    let out = root_cut_loop(&m, &sa, &cfg, None);
+    metrics::disable();
+    let snap = metrics::snapshot();
+    metrics::reset();
+    assert!(out.stats.rounds >= 1, "the cut loop solved no root LP");
+    let Some(metrics::MetricValue::Histogram(iters)) = snap.get("lp.iters") else {
+        panic!("no LP iterations recorded");
+    };
+    assert_eq!(
+        iters.sum, out.stats.lp_iterations as f64,
+        "metered LP iterations differ from the cut loop's"
+    );
+    assert!(
+        matches!(
+            snap.get("lp.cold_solves"),
+            Some(metrics::MetricValue::Counter(n)) if *n == iters.count
+        ),
+        "cold solves and LP observations disagree"
+    );
+    assert!(
+        matches!(
+            snap.get("lp.factorizations"),
+            Some(metrics::MetricValue::Counter(n)) if *n >= iters.count
+        ),
+        "a cold solve factors at least once"
+    );
 }
