@@ -15,8 +15,7 @@
 //! engine*: it replays an II × K × weight design-space sweep twice —
 //! once rebuilding and cold-solving every point, once editing one
 //! `ResolveContext` per structural base in place — asserts the two
-//! paths report identical objectives on every completed point, times a
-//! clone-vs-incremental A/B of the `--decompose` sub-solve rounds, and
+//! paths report identical objectives on every completed point, and
 //! writes `BENCH_resolve.json`.
 //!
 //! ```text
@@ -131,7 +130,7 @@ fn parse_args() -> Args {
                      USAGE: pipemap-bench-suite [milp|resolve] [--quick] [--jobs N] [--out PATH] [--time-limit S]\n\n\
                      milp           cold-vs-optimized solver A/B over the Table 1 suite (default)\n\
                      resolve        incremental re-solve engine benchmark: II*K*weight sweep\n\
-                     \x20              cold vs in-place re-solves, plus a --decompose round-time A/B\n\
+                     \x20              cold vs in-place re-solves\n\
                      compare BASELINE.json CANDIDATE.json\n\
                      \x20              regression gate between two milp-mode reports; exits non-zero\n\
                      \x20              when the candidate regresses (status, objective, gap, model\n\
@@ -363,69 +362,6 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Sum the wall-clock of every completed span with one of `names`,
-/// matching Begin/End pairs per lane. Nested same-name spans on one
-/// lane stack correctly; an unclosed span contributes nothing.
-fn span_total_ms(trace: &pipemap_obs::Trace, names: &[&str]) -> f64 {
-    use std::collections::HashMap;
-    let mut open: HashMap<(u32, &str), Vec<u64>> = HashMap::new();
-    let mut total_us = 0u64;
-    for e in &trace.events {
-        let Some(&n) = names.iter().find(|&&n| n == e.name.as_ref()) else {
-            continue;
-        };
-        match e.kind {
-            pipemap_obs::EventKind::Begin => open.entry((e.lane, n)).or_default().push(e.ts_us),
-            pipemap_obs::EventKind::End => {
-                if let Some(t0) = open.get_mut(&(e.lane, n)).and_then(Vec::pop) {
-                    total_us += e.ts_us.saturating_sub(t0);
-                }
-            }
-            _ => {}
-        }
-    }
-    total_us as f64 / 1e3
-}
-
-/// One `--decompose` flow run with tracing on, reduced to the numbers
-/// the A/B needs: wall-clock of the decompose rounds (refinement span +
-/// partition-bound span) and the sub-solve counters.
-struct DecomposeRun {
-    round_ms: f64,
-    subproblems: usize,
-    resolve_solves: Option<usize>,
-    objective: f64,
-}
-
-fn run_decompose_ab(
-    b: &Benchmark,
-    budget: Duration,
-    incremental: bool,
-) -> Result<DecomposeRun, String> {
-    let opts = FlowOptions {
-        time_limit: budget,
-        jobs: 1,
-        priority_cuts: true,
-        decompose: true,
-        resolve: incremental,
-        ..FlowOptions::default()
-    };
-    pipemap_obs::enable();
-    let run = run_flow(&b.dfg, &b.target, Flow::MilpMap, &opts);
-    pipemap_obs::disable();
-    let trace = pipemap_obs::take();
-    let r = run.map_err(|e| format!("{}: {e}", b.name))?;
-    let milp = r
-        .milp
-        .ok_or_else(|| format!("{}: no solver stats", b.name))?;
-    Ok(DecomposeRun {
-        round_ms: span_total_ms(&trace, &["decompose", "partition-bound"]),
-        subproblems: milp.subproblems_solved,
-        resolve_solves: milp.resolve.map(|s| s.solves),
-        objective: milp.objective,
-    })
-}
-
 /// The `resolve` sub-mode: benchmark the incremental re-solve engine.
 fn resolve_main(args: &Args) -> ! {
     let mut benches = all();
@@ -438,8 +374,7 @@ fn resolve_main(args: &Args) -> ! {
         // replay them. On II-binding models (e.g. GSM) every point that
         // hits the per-point budget costs the full budget on *both*
         // sides, so sweep wall-clock is cap-bound and no re-solve
-        // engine can improve it; those shapes are still covered by the
-        // full-suite decompose A/B below and `--bench NAME`.
+        // engine can improve it; `--bench NAME` still covers them.
         benches.retain(|b| ["CLZ", "XORR", "GFMUL", "CORDIC"].contains(&b.name));
     }
     if let Some(name) = &args.only {
@@ -551,21 +486,13 @@ fn resolve_main(args: &Args) -> ! {
                 if i + 1 < warm.points.len() { "," } else { "" },
             ));
         }
-        let hit_rate = if rs.warm_attempts > 0 {
-            format!("{:.4}", rs.warm_hits as f64 / rs.warm_attempts as f64)
-        } else {
-            "null".to_string()
-        };
         rows.push_str(&format!(
             "    {}{{\"name\": \"{}\", \"points\": [\n{points}      ],\n      \
              \"cold_total_ms\": {cold_ms:.3}, \"incremental_total_ms\": {:.3}, \
              \"setup_ms\": {:.3}, \"speedup\": {:.3}, \"contexts\": {}, \
              \"bases_deduped\": {},\n      \
              \"resolve\": {{\"solves\": {}, \"cached_results\": {}, \"cold_solves\": {}, \
-             \"incumbent_seeds\": {}, \
-             \"warm_attempts\": {}, \"warm_hits\": {}, \"basis_reuse_hit_rate\": {hit_rate}, \
-             \"lu_factor_reuses\": {}, \"lu_refactors\": {}, \
-             \"frontier_resumes\": {}, \"frontier_nodes_reused\": {}}}}}\n",
+             \"incumbent_seeds\": {}}}}}\n",
             if first_row { "" } else { "," },
             json_escape(b.name),
             ms(warm.total_wall),
@@ -577,76 +504,16 @@ fn resolve_main(args: &Args) -> ! {
             rs.cached_results,
             rs.cold_solves,
             rs.incumbent_seeds,
-            rs.warm_attempts,
-            rs.warm_hits,
-            rs.lu_factor_reuses,
-            rs.lu_refactors,
-            rs.frontier_resumes,
-            rs.frontier_nodes_reused,
         ));
         first_row = false;
         eprintln!(
             "[bench] {:>8}: cold {cold_ms:>9.1} ms -> incremental {incr_ms:>9.1} ms \
-             ({:.2}x, {} base(s) deduped, incumbent seeds {}, warm {}/{}, LU reused {})",
+             ({:.2}x, {} base(s) deduped, incumbent seeds {}, cached {})",
             b.name,
             cold_ms / incr_ms.max(1e-9),
             warm.bases_deduped,
             rs.incumbent_seeds,
-            rs.warm_hits,
-            rs.warm_attempts,
-            rs.lu_factor_reuses,
-        );
-    }
-
-    // Decompose A/B: clone-per-subproblem vs shared-context sub-solves,
-    // serial (the round timing comes from the global trace). Quick mode
-    // keeps the sweep set; the full run covers the whole suite.
-    let ab_benches = if args.quick { benches.clone() } else { all() };
-    let mut ab_rows = String::new();
-    let mut ab_improved = 0usize;
-    eprintln!(
-        "[bench] decompose A/B: clone vs shared-context sub-solves over {} benchmark(s)",
-        ab_benches.len()
-    );
-    for (i, b) in ab_benches.iter().enumerate() {
-        let clone = run_decompose_ab(b, budget, false);
-        let incr = run_decompose_ab(b, budget, true);
-        let (clone, incr) = match (clone, incr) {
-            (Ok(c), Ok(i)) => (c, i),
-            (c, i) => {
-                for e in [c.err(), i.err()].into_iter().flatten() {
-                    errors.push(format!("decompose A/B {e}"));
-                }
-                continue;
-            }
-        };
-        if (clone.objective - incr.objective).abs() > 1e-6 {
-            mismatches.push(format!(
-                "{} decompose A/B: clone objective {} vs incremental {}",
-                b.name, clone.objective, incr.objective
-            ));
-        }
-        let improved = incr.round_ms < clone.round_ms;
-        ab_improved += usize::from(improved);
-        ab_rows.push_str(&format!(
-            "    {}{{\"name\": \"{}\", \"clone_round_ms\": {:.3}, \"incremental_round_ms\": {:.3}, \
-             \"improved\": {improved}, \"clone_subproblems\": {}, \"incremental_subproblems\": {}, \
-             \"resolve_solves\": {}}}\n",
-            if i == 0 { "" } else { "," },
-            json_escape(b.name),
-            clone.round_ms,
-            incr.round_ms,
-            clone.subproblems,
-            incr.subproblems,
-            incr.resolve_solves
-                .map_or("null".to_string(), |s| s.to_string()),
-        ));
-        eprintln!(
-            "[bench] {:>8}: decompose rounds clone {:>8.1} ms -> incremental {:>8.1} ms ({})",
-            b.name,
-            clone.round_ms,
-            incr.round_ms,
-            if improved { "improved" } else { "no gain" },
+            rs.cached_results,
         );
     }
 
@@ -670,10 +537,6 @@ fn resolve_main(args: &Args) -> ! {
     j.push_str("  \"benchmarks\": [\n");
     j.push_str(&rows);
     j.push_str("  ],\n");
-    j.push_str(&format!("  \"decompose_improved_count\": {ab_improved},\n"));
-    j.push_str("  \"decompose_ab\": [\n");
-    j.push_str(&ab_rows);
-    j.push_str("  ],\n");
     j.push_str("  \"errors\": [");
     for (i, e) in errors.iter().enumerate() {
         if i > 0 {
@@ -691,7 +554,7 @@ fn resolve_main(args: &Args) -> ! {
             "{{\"ts\": {}, \"mode\": \"resolve\", \"suite\": \"{}\", \"jobs\": {}, \
              \"time_limit_s\": {}, \"cold_total_ms\": {grand_cold:.3}, \
              \"incremental_total_ms\": {grand_incr:.3}, \"speedup\": {speedup:.3}, \
-             \"decompose_improved_count\": {ab_improved}, \"objectives_match\": {}, \
+             \"objectives_match\": {}, \
              \"errors\": {}}}",
             compare::unix_ts(),
             if args.quick { "quick" } else { "full" },
@@ -703,8 +566,7 @@ fn resolve_main(args: &Args) -> ! {
     }
     eprintln!(
         "[bench] total: cold {grand_cold:.1} ms, incremental {grand_incr:.1} ms, \
-         speedup {speedup:.2}x, decompose rounds improved on {ab_improved}/{} -> {}",
-        ab_benches.len(),
+         speedup {speedup:.2}x -> {}",
         args.out
     );
     for m in &mismatches {

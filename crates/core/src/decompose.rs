@@ -22,12 +22,13 @@
 //!    regions are re-optimized first.
 //! 3. **Solve & stitch.** For each region a sub-MILP is formed by
 //!    freezing every variable *outside* the region at the incumbent
-//!    (via [`pipemap_milp::Model::set_bounds`]) and solving the rest
-//!    under a small node/time budget. Because the frozen complement
-//!    keeps every coupling row intact, any solution of the sub-MILP is
-//!    boundary-consistent by construction; an improving one is verified
-//!    against the *original* model ([`pipemap_milp::Model::check_feasible`])
-//!    and stitched in as the new incumbent.
+//!    (bound edits on one shared [`pipemap_milp::ResolveContext`]) and
+//!    solving the rest under a small node/time budget. Because the
+//!    frozen complement keeps every coupling row intact, any solution of
+//!    the sub-MILP is boundary-consistent by construction; an improving
+//!    one is verified against the *original* model
+//!    ([`pipemap_milp::Model::check_feasible`]) and stitched in as the
+//!    new incumbent.
 //!
 //! The refined incumbent seeds the full solve as its starting primal
 //! bound. Determinism: regions, their order, and every sub-solve are
@@ -62,12 +63,6 @@ pub(crate) struct DecomposeConfig {
     /// when the neighborhoods are not improving, the remaining budget
     /// is worth more to the main branch-and-bound tree.
     pub max_consecutive_failures: usize,
-    /// Solve region/group sub-MILPs through one shared
-    /// [`pipemap_milp::ResolveContext`] (freeze/relax edits applied as
-    /// bound/objective deltas, warm-started from the previous sub-solve's
-    /// basis) instead of re-cloning and cold-solving the full model per
-    /// sub-problem. Off = the historical clone-per-subproblem path.
-    pub incremental: bool,
 }
 
 impl Default for DecomposeConfig {
@@ -79,7 +74,6 @@ impl Default for DecomposeConfig {
             node_limit: 2000,
             jobs: 1,
             max_consecutive_failures: 5,
-            incremental: true,
         }
     }
 }
@@ -95,9 +89,8 @@ pub(crate) struct DecomposeOutcome {
     pub subproblems_solved: usize,
     /// Improving region incumbents stitched into the seed.
     pub stitched_incumbents: usize,
-    /// Reuse counters of the shared re-solve context (`None` on the
-    /// clone-per-subproblem path).
-    pub resolve_stats: Option<pipemap_milp::ResolveStats>,
+    /// Counters of the shared re-solve context.
+    pub resolve_stats: pipemap_milp::ResolveStats,
 }
 
 /// Carve the DFG into cone-bounded regions: subtrees of the
@@ -266,11 +259,8 @@ pub(crate) fn partition_bound(
     let mut solved = 0usize;
     // One shared re-solve context: each group's "partial objective +
     // partial integrality" model is the base model plus objective and
-    // kind deltas, so consecutive groups warm-start from the previous
-    // group's root basis instead of cold-solving a fresh clone.
-    let mut cx = cfg
-        .incremental
-        .then(|| pipemap_milp::ResolveContext::new(f.model.clone()));
+    // kind edits, rolled back and re-applied per group.
+    let mut cx = pipemap_milp::ResolveContext::new(f.model.clone());
     for (k, &gi) in order.iter().enumerate() {
         let remaining = cfg.time_budget.saturating_sub(start.elapsed());
         // A group with no objective-weighted column contributes exactly
@@ -293,32 +283,16 @@ pub(crate) fn partition_bound(
             symmetry: false,
             ..SolverOptions::default()
         };
-        let sub_result = match cx.as_mut() {
-            Some(cx) => {
-                cx.restore_objective();
-                cx.restore_kinds();
-                for (j, &g) in group.iter().enumerate() {
-                    if g != gi {
-                        let v = pipemap_milp::VarId::from_index(j);
-                        cx.set_objective_coeff(v, 0.0);
-                        cx.relax_integrality(v);
-                    }
-                }
-                cx.solve(&sub_opts)
+        cx.restore_objective();
+        cx.restore_kinds();
+        for (j, &g) in group.iter().enumerate() {
+            if g != gi {
+                let v = pipemap_milp::VarId::from_index(j);
+                cx.set_objective_coeff(v, 0.0);
+                cx.relax_integrality(v);
             }
-            None => {
-                let mut sub = f.model.clone();
-                for (j, &g) in group.iter().enumerate() {
-                    if g != gi {
-                        let v = pipemap_milp::VarId::from_index(j);
-                        sub.set_objective_coeff(v, 0.0);
-                        sub.relax_integrality(v);
-                    }
-                }
-                sub.solve(&sub_opts)
-            }
-        };
-        match sub_result {
+        }
+        match cx.solve(&sub_opts) {
             Ok(r) if r.best_bound.is_finite() => {
                 solved += 1;
                 // Never below the box bound the group is entitled to.
@@ -355,7 +329,7 @@ pub(crate) fn refine_incumbent(
         objective: best,
         subproblems_solved: 0,
         stitched_incumbents: 0,
-        resolve_stats: None,
+        resolve_stats: pipemap_milp::ResolveStats::default(),
     };
 
     let mut regions = carve_regions(dfg, cfg);
@@ -383,12 +357,10 @@ pub(crate) fn refine_incumbent(
     let start = Instant::now();
     let mut consecutive_failures = 0usize;
     // One shared re-solve context across every region and round: the
-    // frozen-complement sub-MILP is the base model plus bound deltas
+    // frozen-complement sub-MILP is the base model plus bound edits
     // (freeze = fix at the incumbent), rolled back and re-applied per
-    // region, so each sub-solve warm-starts from its predecessor.
-    let mut cx = cfg
-        .incremental
-        .then(|| pipemap_milp::ResolveContext::new(f.model.clone()));
+    // region.
+    let mut cx = pipemap_milp::ResolveContext::new(f.model.clone());
     'rounds: loop {
         let mut improved_this_round = false;
         for region in &regions {
@@ -420,29 +392,14 @@ pub(crate) fn refine_incumbent(
                 symmetry: false,
                 ..SolverOptions::default()
             };
-            let sub_result = match cx.as_mut() {
-                Some(cx) => {
-                    cx.restore_bounds();
-                    for (j, &is_free) in free.iter().enumerate() {
-                        if !is_free {
-                            let x = incumbent[j];
-                            cx.set_bounds(pipemap_milp::VarId::from_index(j), x, x);
-                        }
-                    }
-                    cx.solve(&sub_opts)
+            cx.restore_bounds();
+            for (j, &is_free) in free.iter().enumerate() {
+                if !is_free {
+                    let x = incumbent[j];
+                    cx.set_bounds(pipemap_milp::VarId::from_index(j), x, x);
                 }
-                None => {
-                    let mut sub = f.model.clone();
-                    for (j, &is_free) in free.iter().enumerate() {
-                        if !is_free {
-                            let x = incumbent[j];
-                            sub.set_bounds(pipemap_milp::VarId::from_index(j), x, x);
-                        }
-                    }
-                    sub.solve(&sub_opts)
-                }
-            };
-            let Ok(r) = sub_result else {
+            }
+            let Ok(r) = cx.solve(&sub_opts) else {
                 continue;
             };
             out.subproblems_solved += 1;
@@ -478,7 +435,7 @@ pub(crate) fn refine_incumbent(
 
     out.values = incumbent;
     out.objective = best;
-    out.resolve_stats = cx.map(|c| c.stats());
+    out.resolve_stats = cx.stats();
     if obs::enabled() {
         obs::instant_with(
             "decompose-done",
@@ -565,36 +522,7 @@ mod tests {
             "refined incumbent infeasible"
         );
         assert!(out.subproblems_solved >= out.stitched_incumbents);
-        // Default config routes sub-solves through the shared context.
-        let rs = out.resolve_stats.expect("incremental stats");
-        assert_eq!(rs.solves, out.subproblems_solved);
-    }
-
-    #[test]
-    fn clone_path_refinement_still_works() {
-        let g = two_cones();
-        let target = Target::fig1();
-        let db = CutDb::enumerate(&g, &CutConfig::for_target(&target));
-        let base = crate::baseline::schedule_baseline(&g, &target, 1, &db).expect("baseline");
-        let m = base.implementation.schedule.depth();
-        let f = formulation::build(&g, &target, &db, base.ii, m, 0.5, 0.5);
-        let seed = f
-            .seed(&g, &target, &db, &base.implementation)
-            .expect("seed fits");
-        let seed_obj = f.model.objective_value(&seed);
-        let cfg = DecomposeConfig {
-            time_budget: Duration::from_secs(5),
-            jobs: 1,
-            incremental: false,
-            ..DecomposeConfig::default()
-        };
-        let out = refine_incumbent(&g, &f, seed, None, &cfg);
-        assert!(out.objective <= seed_obj + 1e-9, "refinement worsened");
-        assert!(
-            f.model.check_feasible(&out.values, 1e-6).is_none(),
-            "refined incumbent infeasible"
-        );
-        assert!(out.resolve_stats.is_none());
+        assert_eq!(out.resolve_stats.solves, out.subproblems_solved);
     }
 
     #[test]

@@ -138,12 +138,6 @@ pub struct FlowOptions {
     /// sub-MILPs, and stitch improving incumbents (see
     /// `crate::decompose`). Off by default; opt in via `--decompose`.
     pub decompose: bool,
-    /// Route the decomposition's sub-MILPs through one shared
-    /// [`pipemap_milp::ResolveContext`]: freeze/relax edits become
-    /// bound/objective deltas and each sub-solve warm-starts from the
-    /// previous one's basis and LU factors (on by default; off
-    /// reproduces the clone-and-cold-solve baseline via `--resolve off`).
-    pub resolve: bool,
 }
 
 impl Default for FlowOptions {
@@ -170,7 +164,6 @@ impl Default for FlowOptions {
             symmetry: true,
             gomory_cuts: false,
             decompose: false,
-            resolve: true,
         }
     }
 }
@@ -233,9 +226,9 @@ pub struct MilpStats {
     /// `"decompose"` (a stitched region incumbent survived), or
     /// `"solver"` (the tree search improved on what it was given).
     pub incumbent_source: &'static str,
-    /// Reuse counters of the decomposition's shared re-solve context
-    /// (`None` when [`FlowOptions::decompose`] or
-    /// [`FlowOptions::resolve`] is off).
+    /// Counters of the decomposition's shared re-solve context (`None`
+    /// when [`FlowOptions::decompose`] is off or there was no seed to
+    /// refine).
     pub resolve: Option<pipemap_milp::ResolveStats>,
     /// Presolve/warm-start/parallelism counters from the solver.
     pub solver: SolverStats,
@@ -527,7 +520,6 @@ fn run_milp(
             let dcfg = crate::decompose::DecomposeConfig {
                 time_budget: budget,
                 jobs: opts.jobs.max(1),
-                incremental: opts.resolve,
                 ..crate::decompose::DecomposeConfig::default()
             };
             let out = crate::decompose::refine_incumbent(
@@ -539,7 +531,7 @@ fn run_milp(
             );
             subproblems_solved = out.subproblems_solved;
             stitched_incumbents = out.stitched_incumbents;
-            resolve_stats = out.resolve_stats;
+            resolve_stats = Some(out.resolve_stats);
             if out.stitched_incumbents > 0 {
                 incumbent_source = "decompose";
             }
@@ -635,7 +627,6 @@ fn run_milp(
             // side of the gap, which the tree was failing to move.
             time_budget: opts.time_limit / 2,
             jobs: opts.jobs.max(1),
-            incremental: opts.resolve,
             ..crate::decompose::DecomposeConfig::default()
         };
         if let Some((pb, groups)) = crate::decompose::partition_bound(dfg, &f, &dcfg) {

@@ -47,7 +47,7 @@ use crate::analysis::{self, StructuralAnalysis};
 use crate::lu::Factors;
 use crate::model::{Model, VarKind};
 use crate::presolve::{self, PresolveOutcome};
-use crate::simplex::{LpAbort, LpProblem, LpSolution, LpStatus, WarmBasis, WarmMode};
+use crate::simplex::{LpAbort, LpProblem, LpSolution, LpStatus, WarmBasis};
 use crate::{GapSample, MilpError, MilpResult, SolverOptions, SolverStats, Status};
 
 const INT_TOL: f64 = 1e-6;
@@ -149,50 +149,6 @@ fn child_id(parent: u64, up: bool) -> u64 {
         .wrapping_mul(6364136223846793005)
         .wrapping_add(if up { 1 } else { 2 })
 }
-
-/// Open leaves of a stopped search, captured verbatim so a later solve of
-/// the *unmodified* model can resume from them instead of the root. Only
-/// sound as a continuation: any model delta invalidates the node bounds
-/// and warm bases, so callers must drop the frontier on edit.
-#[derive(Debug, Clone)]
-pub(crate) struct Frontier {
-    nodes: Vec<Node>,
-}
-
-impl Frontier {
-    /// Number of open leaves carried over.
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-/// Warm-start payload carried from one solve to a re-solve of an edited
-/// model. The basis/factors pair warm-starts the *root* LP of the next
-/// search; `primal` selects the simplex variant that the edit kept
-/// feasible (objective-only deltas preserve primal feasibility; bound
-/// and row deltas preserve dual feasibility). The frontier, when
-/// present, replaces the root node entirely (pure continuation).
-#[derive(Debug)]
-pub(crate) struct ResolveSeed {
-    pub(crate) basis: WarmBasis,
-    pub(crate) factors: Option<Factors>,
-    pub(crate) primal: bool,
-    pub(crate) frontier: Option<Frontier>,
-}
-
-/// What a capturing solve hands back for the *next* re-solve: the root
-/// LP's optimal basis with its LU factors, and — when the search stopped
-/// early with a complete set of open leaves — the frontier.
-#[derive(Debug, Default)]
-pub(crate) struct ResolveCapture {
-    pub(crate) root: Option<(WarmBasis, Factors)>,
-    pub(crate) frontier: Option<Frontier>,
-}
-
-/// Frontier capture cap: a heap larger than this is dropped rather than
-/// truncated (a partial frontier would silently un-explore subtrees,
-/// which is unsound), bounding the memory a context can pin.
-const FRONTIER_CAP: usize = 4096;
 
 /// Heap ordering: smallest bound first (best-first), deeper first on ties
 /// so the search dives toward incumbents, then smallest path id.
@@ -445,16 +401,6 @@ struct Ctx<'a> {
     warm_hits: &'a AtomicUsize,
     implication_fixings: &'a AtomicUsize,
     orbital_fixings: &'a AtomicUsize,
-    /// Saved basis/factors from a prior solve of (an edit of) this model;
-    /// attempted at the root before any cold solve.
-    resolve_seed: Option<&'a ResolveSeed>,
-    /// When present, the root's optimal basis + LU factors are deposited
-    /// here for the caller's next re-solve.
-    root_capture: Option<&'a Mutex<Option<(WarmBasis, Factors)>>>,
-    resolve_attempts: &'a AtomicUsize,
-    resolve_hits: &'a AtomicUsize,
-    lu_factor_reuses: &'a AtomicUsize,
-    lu_refactors: &'a AtomicUsize,
     /// Set when the root LP solved to optimality but no warm basis could
     /// be snapshotted (a phase-1 artificial stuck in the basis) — the one
     /// condition that silently disables warm starts for the whole tree.
@@ -783,68 +729,7 @@ fn process_node(
     // Warm-started dual simplex from the parent basis; any rejection
     // falls back to a cold primal solve.
     let mut solved: Option<(LpSolution, Option<WarmBasis>)> = None;
-    if node.depth == 0 {
-        // Root of a re-solve: try the saved basis (and, when intact, its
-        // persistent LU factors) from the prior solve before paying for a
-        // cold two-phase primal. A capturing solve uses the capture
-        // variant of the cold solve so the next re-solve gets a seed.
-        let mut root_snap: Option<(WarmBasis, Factors)> = None;
-        if let Some(rs) = ctx.resolve_seed {
-            ctx.resolve_attempts.fetch_add(1, AtomicOrd::Relaxed);
-            let mode = if rs.primal {
-                WarmMode::Primal
-            } else {
-                WarmMode::Dual
-            };
-            match ctx.lp.solve_warm_persistent(
-                &lb,
-                &ub,
-                &rs.basis,
-                rs.factors.as_ref(),
-                mode,
-                ctx.deadline,
-            ) {
-                Ok((sol, snap, reused)) => {
-                    ctx.resolve_hits.fetch_add(1, AtomicOrd::Relaxed);
-                    if reused {
-                        ctx.lu_factor_reuses.fetch_add(1, AtomicOrd::Relaxed);
-                    } else {
-                        ctx.lu_refactors.fetch_add(1, AtomicOrd::Relaxed);
-                    }
-                    obs::instant("resolve-reuse-hit");
-                    let wb = snap.as_ref().map(|p| p.0.clone());
-                    root_snap = snap;
-                    solved = Some((sol, wb));
-                }
-                Err(LpAbort::Timeout) => return Processed::Timeout,
-                Err(_) => {
-                    // Stale, singular, or infeasible-for-mode: cold below.
-                    obs::instant("resolve-reuse-miss");
-                }
-            }
-        }
-        if solved.is_none() && ctx.root_capture.is_some() {
-            match ctx.lp.solve_primal_capture(&lb, &ub, ctx.deadline) {
-                Ok((sol, snap)) => {
-                    ctx.lu_refactors.fetch_add(1, AtomicOrd::Relaxed);
-                    let wb = snap.as_ref().map(|p| p.0.clone());
-                    root_snap = snap;
-                    solved = Some((sol, wb));
-                }
-                Err(LpAbort::Timeout) => return Processed::Timeout,
-                Err(LpAbort::Numerical(msg)) => return Processed::Error(MilpError::Numerical(msg)),
-                Err(LpAbort::Singular) => {
-                    return Processed::Error(MilpError::Numerical(
-                        "unrepairable singular basis".into(),
-                    ))
-                }
-            }
-        }
-        if let Some(slot) = ctx.root_capture {
-            *slot.lock().expect("capture mutex") = root_snap;
-        }
-    }
-    if solved.is_none() && ctx.warm_enabled {
+    if ctx.warm_enabled {
         if let Some(wb) = &node.warm {
             ctx.warm_attempts.fetch_add(1, AtomicOrd::Relaxed);
             let mut fresh = siblings.take(wb);
@@ -1218,23 +1103,6 @@ fn worker(ctx: &Ctx<'_>, shared: &Mutex<SearchState>, cv: &Condvar, wid: usize) 
 }
 
 pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResult, MilpError> {
-    solve_milp_resolve(model, opts, None, false).map(|(r, _)| r)
-}
-
-/// Branch & bound with optional re-solve support: `seed` warm-starts the
-/// root (and, for a pure continuation, replaces the root with the prior
-/// frontier); `want_capture` asks for the root basis/factors and — on an
-/// early stop — the open-leaf frontier to be handed back for the next
-/// re-solve. Both are honoured only when the reduction is the identity
-/// and no structural analysis runs, so column/row indices map 1:1
-/// between solves; otherwise the seed is ignored and no capture is made,
-/// which degrades to a plain cold solve (never to a wrong answer).
-pub(crate) fn solve_milp_resolve(
-    model: &Model,
-    opts: &SolverOptions,
-    seed_ctx: Option<&ResolveSeed>,
-    want_capture: bool,
-) -> Result<(MilpResult, Option<ResolveCapture>), MilpError> {
     let start = Instant::now();
     let deadline = start.checked_add(opts.time_limit);
     let jobs = opts.jobs.max(1);
@@ -1314,7 +1182,7 @@ pub(crate) fn solve_milp_resolve(
                         stats,
                     ),
                 };
-                return Ok((r, None));
+                return Ok(r);
             }
             PresolveOutcome::Reduced(r) => *r,
         }
@@ -1377,7 +1245,7 @@ pub(crate) fn solve_milp_resolve(
                     stats,
                 ),
             };
-            return Ok((r, None));
+            return Ok(r);
         }
         let cut_cfg = analysis::CutLoopConfig {
             max_rounds: if opts.cuts {
@@ -1437,18 +1305,6 @@ pub(crate) fn solve_milp_resolve(
         .filter(|&j| rmodel.var_kind(crate::VarId(j as u32)) == VarKind::Integer)
         .collect();
 
-    // Seed and capture are index-mapped against the *caller's* model, so
-    // both require the solve to run in that exact column/row space: the
-    // identity reduction, and an analysis that appended no cut rows
-    // (probing only tightens bounds, which basis reuse tolerates — the
-    // warm path re-validates feasibility and falls back cold).
-    let resolve_ok = red.is_identity()
-        && rmodel.num_rows() == model.num_rows()
-        && rmodel.num_vars() == model.num_vars();
-    let rseed = seed_ctx.filter(|_| resolve_ok);
-    let capture_on = want_capture && resolve_ok;
-    let root_slot: Mutex<Option<(WarmBasis, Factors)>> = Mutex::new(None);
-
     let ctx = Ctx {
         lp: &lp,
         rmodel,
@@ -1466,12 +1322,6 @@ pub(crate) fn solve_milp_resolve(
         warm_hits: &AtomicUsize::new(0),
         implication_fixings: &AtomicUsize::new(0),
         orbital_fixings: &AtomicUsize::new(0),
-        resolve_seed: rseed,
-        root_capture: capture_on.then_some(&root_slot),
-        resolve_attempts: &AtomicUsize::new(0),
-        resolve_hits: &AtomicUsize::new(0),
-        lu_factor_reuses: &AtomicUsize::new(0),
-        lu_refactors: &AtomicUsize::new(0),
         root_unsnapshottable: &AtomicBool::new(false),
         root_bound_bits: &AtomicU64::new(u64::MAX),
     };
@@ -1500,29 +1350,15 @@ pub(crate) fn solve_milp_resolve(
             }
         }
     }
-    // A pure continuation resumes from the prior search's open leaves
-    // instead of re-expanding the root; otherwise start at the root.
-    let frontier_reused = match rseed.and_then(|rs| rs.frontier.as_ref()) {
-        Some(fr) if !fr.nodes.is_empty() => {
-            for n in &fr.nodes {
-                state.heap.push(Ranked(n.clone()));
-            }
-            fr.nodes.len()
-        }
-        _ => {
-            state.heap.push(Ranked(Node {
-                id: 1,
-                bounds: Vec::new(),
-                bound: f64::NEG_INFINITY,
-                depth: 0,
-                warm: None,
-                pcosts: Arc::new(PseudoCosts::new(int_cols.len())),
-                branched: None,
-            }));
-            0
-        }
-    };
-    stats.frontier_nodes_reused = frontier_reused;
+    state.heap.push(Ranked(Node {
+        id: 1,
+        bounds: Vec::new(),
+        bound: f64::NEG_INFINITY,
+        depth: 0,
+        warm: None,
+        pcosts: Arc::new(PseudoCosts::new(int_cols.len())),
+        branched: None,
+    }));
 
     let shared = Mutex::new(state);
     let cv = Condvar::new();
@@ -1543,10 +1379,6 @@ pub(crate) fn solve_milp_resolve(
     stats.warm_hits = ctx.warm_hits.load(AtomicOrd::Relaxed);
     stats.implication_fixings = ctx.implication_fixings.load(AtomicOrd::Relaxed);
     stats.orbital_fixings = ctx.orbital_fixings.load(AtomicOrd::Relaxed);
-    stats.resolve_warm_attempts = ctx.resolve_attempts.load(AtomicOrd::Relaxed);
-    stats.resolve_warm_hits = ctx.resolve_hits.load(AtomicOrd::Relaxed);
-    stats.lu_factor_reuses = ctx.lu_factor_reuses.load(AtomicOrd::Relaxed);
-    stats.lu_refactors = ctx.lu_refactors.load(AtomicOrd::Relaxed);
     stats.nodes_per_worker = std::mem::take(&mut g.per_worker_nodes);
     // A zero warm-attempt count is either expected (disabled, or the tree
     // had nothing to warm-start) or a silent loss (root basis declined to
@@ -1614,38 +1446,16 @@ pub(crate) fn solve_milp_resolve(
         .collect();
 
     if stop == StopReason::RootUnbounded {
-        return Ok((
-            finish(
-                Status::Unbounded,
-                f64::NEG_INFINITY,
-                f64::NEG_INFINITY,
-                Vec::new(),
-                g.nodes,
-                g.lp_iters,
-                stats,
-            ),
-            None,
+        return Ok(finish(
+            Status::Unbounded,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            Vec::new(),
+            g.nodes,
+            g.lp_iters,
+            stats,
         ));
     }
-
-    // Capture payload for the caller's next re-solve: the root basis and
-    // LU factors, plus — when the search stopped early with a complete,
-    // bounded frontier — the open leaves. `Exhausted` leaves no frontier
-    // (the heap holds only pruned remnants); an oversized heap is dropped
-    // whole because truncation would un-explore subtrees.
-    let capture = capture_on.then(|| {
-        let root = root_slot.lock().expect("capture mutex").take();
-        let frontier = (matches!(stop, StopReason::TimedOut | StopReason::NodeLimit)
-            && !g.heap.is_empty()
-            && g.heap.len() <= FRONTIER_CAP)
-            .then(|| Frontier {
-                nodes: std::mem::take(&mut g.heap)
-                    .into_iter()
-                    .map(|r| r.0)
-                    .collect(),
-            });
-        ResolveCapture { root, frontier }
-    });
 
     let status = match (&g.incumbent, stop) {
         (Some(_), StopReason::Exhausted) => Status::Optimal,
@@ -1672,10 +1482,7 @@ pub(crate) fn solve_milp_resolve(
         best_bound_red
     };
     let values = g.incumbent.map(|x| red.restore(&x)).unwrap_or_default();
-    Ok((
-        finish(
-            status, objective, best_bound, values, g.nodes, g.lp_iters, stats,
-        ),
-        capture,
+    Ok(finish(
+        status, objective, best_bound, values, g.nodes, g.lp_iters, stats,
     ))
 }

@@ -278,21 +278,6 @@ pub struct SolverStats {
     /// Incumbent/bound timeline of the solve (objective offset already
     /// applied, so values are in the caller's model space).
     pub convergence: Vec<GapSample>,
-    /// Root LPs warm-started from a saved [`ResolveContext`] basis.
-    pub resolve_warm_attempts: usize,
-    /// Saved-basis root warm starts that re-optimized without a cold
-    /// fallback.
-    pub resolve_warm_hits: usize,
-    /// Root solves that adopted the prior solve's LU factors (possibly
-    /// border-extended for added cut rows) instead of refactoring.
-    pub lu_factor_reuses: usize,
-    /// Root solves that refactored the basis from scratch (cold roots of
-    /// capturing solves, plus warm starts whose cached factors were
-    /// stale).
-    pub lu_refactors: usize,
-    /// Open leaves of the prior search resumed as this solve's initial
-    /// frontier (pure continuations only).
-    pub frontier_nodes_reused: usize,
     /// Why no warm start was attempted, when `warm_attempts` is zero for
     /// a structural reason rather than by accident: warm starts disabled
     /// by options, a root basis that could not be snapshotted, or a

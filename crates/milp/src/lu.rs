@@ -11,9 +11,9 @@
 //! the basis header. `ftran` solves `B x = b` (x over positions), `btran`
 //! solves `Bᵀ y = c` (y over rows).
 //!
-//! **Storage.** L, U, the eta file and the bordered rows are packed
-//! start/index/value arrays ([`Packed`]); a refactorization refills them in
-//! place. The active submatrix of the elimination lives in one
+//! **Storage.** L, U and the eta file are packed start/index/value
+//! arrays ([`Packed`]); a refactorization refills them in place. The
+//! active submatrix of the elimination lives in one
 //! [`Workspace`] per thread, reused by every factorization on that thread,
 //! so the elimination allocates nothing once the buffers have grown to the
 //! largest basis seen. The pivot column comes from [`CountBuckets`], one
@@ -123,19 +123,6 @@ pub(crate) struct Factors {
     eta_pos: Vec<u32>,
     /// `w[eta_pos[e]]`, the pivot element.
     eta_pivot: Vec<f64>,
-    /// Bordered extension rows appended by [`Factors::append_rows`]
-    /// (re-solve with added cut rows); empty for a fresh factorization.
-    /// With `k` rows appended the basis becomes the block-lower-triangular
-    /// `[[B, 0], [C, S]]`: row `i` of `(C | S)` is the vector `border[i]`
-    /// (coefficients on earlier basis *positions*, both base and prior
-    /// border) plus the diagonal `border_pivot[i]` (the appended row's
-    /// own basic column, a slack in practice).
-    border: Packed,
-    border_pivot: Vec<f64>,
-    /// How many etas were recorded *before* the border was appended.
-    /// Those etas act on base positions only and belong inside `B`; etas
-    /// past this index act on the full bordered dimension.
-    border_at: usize,
     /// The steps whose L column is non-empty, ascending.
     l_steps: Vec<u32>,
     /// The step that pivoted each row.
@@ -510,16 +497,15 @@ impl Factors {
         self.eta_pos.len()
     }
 
-    /// Total dimension the factors solve for: the factored base plus any
-    /// appended border rows.
+    /// Dimension of the factored basis.
     pub fn dim(&self) -> usize {
-        self.m + self.border_pivot.len()
+        self.m
     }
 
     /// Factor the basis given its columns (`cols` yields, per position,
     /// the sparse column as `(row, value)` pairs with distinct rows; it is
     /// walked twice, once to count and once to fill), replacing the
-    /// current factors and dropping their eta file and border. On error
+    /// current factors and dropping their eta file. On error
     /// the factors are left empty.
     pub fn factor<'c, I>(&mut self, m: usize, cols: I) -> Result<(), Singular>
     where
@@ -545,9 +531,6 @@ impl Factors {
         self.etas.clear();
         self.eta_pos.clear();
         self.eta_pivot.clear();
-        self.border.clear();
-        self.border_pivot.clear();
-        self.border_at = 0;
         self.l_steps.clear();
         self.step_of_row.clear();
         self.u_steps.clear();
@@ -713,40 +696,6 @@ impl Factors {
         &self.ut_step[self.ut_start[j] as usize..self.ut_start[j + 1] as usize]
     }
 
-    /// Extend the factorization in place for rows appended to the basis
-    /// (added cut rows whose slacks enter the basis): each element of
-    /// `rows` is `(entries, pivot)` with `entries` the appended row's
-    /// coefficients on the *existing* basis positions (base positions
-    /// and earlier border positions) and `pivot` the coefficient of the
-    /// appended row's own basic column.
-    ///
-    /// Returns `false` (caller must refactorize) when the extension is
-    /// not representable — a pivot too small for stability, or basis
-    /// updates were already recorded on top of an earlier border (the
-    /// factors only track one pre-border/post-border eta split).
-    #[must_use]
-    pub fn append_rows(&mut self, rows: &[(Vec<(usize, f64)>, f64)]) -> bool {
-        if self.eta_count() != self.border_at && !self.border_pivot.is_empty() {
-            return false;
-        }
-        if rows.iter().any(|(_, pivot)| pivot.abs() < 1e-9) {
-            return false;
-        }
-        let dim = self.dim();
-        for (i, (entries, _)) in rows.iter().enumerate() {
-            debug_assert!(entries.iter().all(|&(p, _)| p < dim + i));
-        }
-        self.border_at = self.eta_count();
-        for (entries, pivot) in rows {
-            self.border.open();
-            for &(p, v) in entries {
-                self.border.push(p, v);
-            }
-            self.border_pivot.push(*pivot);
-        }
-        true
-    }
-
     /// Apply eta `e`'s inverse to a position-indexed vector (FTRAN).
     fn eta_ftran(&self, e: usize, x: &mut [f64]) {
         let pos = self.eta_pos[e] as usize;
@@ -773,7 +722,7 @@ impl Factors {
     /// Solve `B x = b` in place: `x` enters holding `b` (indexed by row)
     /// and exits holding the solution (indexed by position).
     pub fn ftran(&self, x: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.dim());
+        debug_assert_eq!(x.len(), self.m);
         // Apply L row operations in elimination order.
         for &k in &self.l_steps {
             let k = k as usize;
@@ -804,22 +753,8 @@ impl Factors {
         for &(a, b) in &self.swaps {
             x.swap(a as usize, b as usize);
         }
-        // Pre-border etas act on base positions and belong inside `B`.
-        for e in 0..self.border_at {
-            self.eta_ftran(e, x);
-        }
-        // Border forward elimination: row i of `[[B,0],[C,S]]` gives
-        // `x[m+i] = (b[m+i] − Σ C[i][p]·x[p]) / pivot`, where earlier
-        // border positions referenced by the row are already final.
-        for (i, &pivot) in self.border_pivot.iter().enumerate() {
-            let mut val = x[self.m + i];
-            for (p, v) in self.border.entries(i) {
-                val -= v * x[p];
-            }
-            x[self.m + i] = val / pivot;
-        }
-        // Post-border etas act on the full bordered dimension.
-        for e in self.border_at..self.eta_count() {
+        // Eta updates in recording order: x := E⁻¹ x.
+        for e in 0..self.eta_count() {
             self.eta_ftran(e, x);
         }
     }
@@ -836,27 +771,9 @@ impl Factors {
     /// Solve `Bᵀ y = c` in place: `y` enters holding `c` (indexed by
     /// position) and exits holding the solution (indexed by row).
     pub fn btran(&self, y: &mut [f64]) {
-        debug_assert_eq!(y.len(), self.dim());
-        // Post-border eta-transpose updates in reverse order: c := E⁻ᵀ c.
-        for e in (self.border_at..self.eta_count()).rev() {
-            self.eta_btran(e, y);
-        }
-        // Border back-substitution: with `[[B,0],[C,S]]ᵀ = [[Bᵀ,Cᵀ],[0,Sᵀ]]`
-        // the bottom block solves in reverse row order, scattering each
-        // resolved `y[m+i]` into the right-hand side of the positions its
-        // row touches (both `Cᵀ` into the base and `Sᵀ` into earlier
-        // border rows).
-        for (i, &pivot) in self.border_pivot.iter().enumerate().rev() {
-            let yi = y[self.m + i] / pivot;
-            y[self.m + i] = yi;
-            if yi != 0.0 {
-                for (p, v) in self.border.entries(i) {
-                    y[p] -= v * yi;
-                }
-            }
-        }
-        // Pre-border eta-transposes (inside `B`), reverse order.
-        for e in (0..self.border_at).rev() {
+        debug_assert_eq!(y.len(), self.m);
+        // Eta-transpose updates in reverse order: c := E⁻ᵀ c.
+        for e in (0..self.eta_count()).rev() {
             self.eta_btran(e, y);
         }
         // Into row space, then solve Uᵀ w = c by forward scattering over
@@ -1062,104 +979,6 @@ mod tests {
         let mut b2 = mat_vec(&a, &x_true);
         f2.ftran(&mut b2);
         assert_close(&b2, &x_true);
-    }
-
-    /// Factor the leading block of a matrix, append the trailing rows as
-    /// a border, and check both solves against the full matrix.
-    fn check_bordered(a: &[Vec<f64>], base: usize, pre_eta_col: Option<(usize, Vec<f64>)>) {
-        let m = a.len();
-        let mut a = a.to_vec();
-        let base_block: Vec<Vec<f64>> = (0..base).map(|r| a[r][..base].to_vec()).collect();
-        let mut f = factor_dense(&base_block).expect("base factors");
-        if let Some((pos, new_col)) = pre_eta_col {
-            let mut w = new_col.clone();
-            f.ftran(&mut w);
-            assert!(f.update(pos, &w));
-            for (r, row) in a.iter_mut().enumerate().take(base) {
-                row[pos] = new_col[r];
-            }
-        }
-        let rows: Vec<(Vec<(usize, f64)>, f64)> = (base..m)
-            .map(|r| {
-                let entries = (0..r)
-                    .filter(|&p| a[r][p] != 0.0)
-                    .map(|p| (p, a[r][p]))
-                    .collect();
-                (entries, a[r][r])
-            })
-            .collect();
-        assert!(f.append_rows(&rows));
-        assert_eq!(f.dim(), m);
-
-        let x_true: Vec<f64> = (0..m).map(|i| 1.0 + i as f64 * 0.5).collect();
-        let mut b = mat_vec(&a, &x_true);
-        f.ftran(&mut b);
-        assert_close(&b, &x_true);
-        let y_true: Vec<f64> = (0..m).map(|i| 2.0 - i as f64 * 0.25).collect();
-        let mut c = mat_t_vec(&a, &y_true);
-        f.btran(&mut c);
-        assert_close(&c, &y_true);
-    }
-
-    #[test]
-    fn bordered_extension_matches_full_matrix() {
-        // [[B, 0], [C, S]] with a 3×3 base and two appended rows.
-        let a = vec![
-            vec![2.0, 1.0, 0.0, 0.0, 0.0],
-            vec![0.0, 3.0, 1.0, 0.0, 0.0],
-            vec![1.0, 0.0, 4.0, 0.0, 0.0],
-            vec![1.5, -1.0, 0.0, 1.0, 0.0],
-            vec![0.0, 2.0, -0.5, 0.5, 1.0],
-        ];
-        check_bordered(&a, 3, None);
-    }
-
-    #[test]
-    fn bordered_extension_after_eta_updates() {
-        // Pre-border eta: the base basis already pivoted once before the
-        // rows were appended; border entries reference the *current*
-        // basis columns.
-        let a = vec![
-            vec![2.0, 1.0, 0.0, 0.0],
-            vec![0.0, 3.0, 1.0, 0.0],
-            vec![1.0, 0.0, 4.0, 0.0],
-            vec![1.0, 1.0, 2.0, 1.0],
-        ];
-        check_bordered(&a, 3, Some((1, vec![1.0, 1.0, 2.0])));
-    }
-
-    #[test]
-    fn bordered_then_post_eta_update() {
-        let mut a = vec![
-            vec![2.0, 1.0, 0.0, 0.0],
-            vec![0.0, 3.0, 1.0, 0.0],
-            vec![1.0, 0.0, 4.0, 0.0],
-            vec![1.0, -1.0, 0.0, 1.0],
-        ];
-        let base: Vec<Vec<f64>> = (0..3).map(|r| a[r][..3].to_vec()).collect();
-        let mut f = factor_dense(&base).expect("factors");
-        assert!(f.append_rows(&[(vec![(0, 1.0), (1, -1.0)], 1.0)]));
-
-        // Post-border pivot replacing position 0 across the full dimension.
-        let new_col = vec![1.0, 0.5, 0.0, 2.0];
-        let mut w = new_col.clone();
-        f.ftran(&mut w);
-        assert!(f.update(0, &w));
-        for (r, row) in a.iter_mut().enumerate() {
-            row[0] = new_col[r];
-        }
-
-        let x_true = vec![0.5, -1.0, 2.0, 1.5];
-        let mut b = mat_vec(&a, &x_true);
-        f.ftran(&mut b);
-        assert_close(&b, &x_true);
-        let y_true = vec![1.0, 0.25, -0.5, 2.0];
-        let mut c = mat_t_vec(&a, &y_true);
-        f.btran(&mut c);
-        assert_close(&c, &y_true);
-
-        // A second append on top of post-border etas is not representable.
-        assert!(!f.append_rows(&[(vec![(0, 1.0)], 1.0)]));
     }
 
     #[test]
@@ -1372,63 +1191,34 @@ mod tests {
     }
 
     #[test]
-    fn network_basis_etas_and_border() {
-        // Base network basis, several eta updates, a bordered extension
-        // by difference rows with slack pivots, then post-border etas;
-        // every stage is checked against the dense matrix.
-        let base = 80;
-        let added = 6;
-        let m = base + added;
+    fn network_basis_etas() {
+        // Base network basis, then several eta updates; both stages are
+        // checked against the dense matrix.
+        let m = 80;
         let mut next = rng(7);
-        let cols = network_basis(base, 11);
+        let cols = network_basis(m, 11);
         let mut a = vec![vec![0.0; m]; m];
         for (p, col) in cols.iter().enumerate() {
             for &(r, v) in col {
                 a[r][p] = v;
             }
         }
-        let check = |f: &Factors, a: &[Vec<f64>], dim: usize| {
-            let a: Vec<Vec<f64>> = a[..dim].iter().map(|row| row[..dim].to_vec()).collect();
-            let x_true: Vec<f64> = (0..dim).map(|i| (i % 5) as f64 * 0.5 - 1.0).collect();
-            let mut b = mat_vec(&a, &x_true);
+        let check = |f: &Factors, a: &[Vec<f64>]| {
+            let x_true: Vec<f64> = (0..m).map(|i| (i % 5) as f64 * 0.5 - 1.0).collect();
+            let mut b = mat_vec(a, &x_true);
             f.ftran(&mut b);
             assert_close(&b, &x_true);
-            let mut c = mat_t_vec(&a, &x_true);
+            let mut c = mat_t_vec(a, &x_true);
             f.btran(&mut c);
             assert_close(&c, &x_true);
         };
-        let mut f = factor_cols(base, &cols).expect("factors");
+        let mut f = factor_cols(m, &cols).expect("factors");
+        check(&f, &a);
         for _ in 0..5 {
-            replace_column(&mut f, &mut a, base, &mut next);
-        }
-        assert_eq!(f.eta_count(), 5);
-        check(&f, &a, base);
-
-        let rows: Vec<(Vec<(usize, f64)>, f64)> = (0..added)
-            .map(|i| {
-                let r = base + i;
-                let p = (next() % base as u64) as usize;
-                let q = (next() % (base + i) as u64) as usize;
-                a[r][p] += 1.0;
-                a[r][q] -= 1.0;
-                a[r][r] = 1.0;
-                let entries = (0..r)
-                    .filter(|&c| a[r][c] != 0.0)
-                    .map(|c| (c, a[r][c]))
-                    .collect();
-                (entries, 1.0)
-            })
-            .collect();
-        assert!(f.append_rows(&rows));
-        assert_eq!(f.dim(), m);
-        check(&f, &a, m);
-
-        for _ in 0..4 {
             replace_column(&mut f, &mut a, m, &mut next);
         }
-        assert_eq!(f.eta_count(), 9);
-        check(&f, &a, m);
-        assert!(!f.append_rows(&[(vec![(0, 1.0)], 1.0)]));
+        assert_eq!(f.eta_count(), 5);
+        check(&f, &a);
     }
 
     /// FNV-1a over 64-bit words; zeros hash as +0, so the fingerprint
@@ -1555,8 +1345,7 @@ mod tests {
     }
 
     /// Fingerprint of one basis through its life: fresh factors and
-    /// solves, solves after eta updates, after a bordered extension, and
-    /// after post-border eta updates.
+    /// solves, then solves after eta updates.
     fn kernel_fingerprint(m: usize, cols: &[Vec<(usize, f64)>], seed: u64) -> u64 {
         let mut next = rng(seed);
         let mut fp = Fingerprint::new();
@@ -1567,24 +1356,6 @@ mod tests {
             eta_replace(&mut f, m, &mut next);
         }
         fp.solves(&f, m, &mut next);
-        let added = 4;
-        let rows: Vec<(Vec<(usize, f64)>, f64)> = (0..added)
-            .map(|i| {
-                let p = (next() % m as u64) as usize;
-                let q = (next() % (m + i) as u64) as usize;
-                let mut entries = vec![(p, 1.0)];
-                if q != p {
-                    entries.push((q, -1.0));
-                }
-                (entries, 1.0)
-            })
-            .collect();
-        assert!(f.append_rows(&rows));
-        fp.solves(&f, m + added, &mut next);
-        for _ in 0..3 {
-            eta_replace(&mut f, m + added, &mut next);
-        }
-        fp.solves(&f, m + added, &mut next);
         fp.0
     }
 
@@ -1601,16 +1372,16 @@ mod tests {
             got.push(kernel_fingerprint(m, &fill_basis(m, seed), seed));
         }
         let want: [u64; 10] = [
-            1262254294311715541,
-            10310182876686775637,
-            17959205572645464919,
-            6460987845128766534,
-            16410680475707312801,
-            13124445088228219358,
-            17710626351976691161,
-            18123210840911610517,
-            3191127253392804532,
-            12556747020116612645,
+            10810348924166586866,
+            8725315225623889346,
+            1207947575834620522,
+            8802602391615592813,
+            14972123338943155452,
+            3914986094555771857,
+            10833218137374448949,
+            10016982542285472390,
+            152653942772730480,
+            8666542382832292887,
         ];
         assert_eq!(got, want, "kernel fingerprints moved");
     }
@@ -1620,9 +1391,12 @@ mod tests {
     /// a column inside the span of two others). The reported position is
     /// the lowest-position empty column, as recorded before the pivot
     /// search was last reworked.
+    /// A basis as sparse `(row, value)` columns, one per position.
+    type Cols = Vec<Vec<(usize, f64)>>;
+
     #[test]
     fn count_zero_columns_report_the_recorded_position() {
-        let cases: [(usize, Vec<Vec<(usize, f64)>>); 4] = [
+        let cases: [(usize, Cols); 4] = [
             (3, vec![vec![(0, 1.0)], vec![], vec![(1, 2.0), (2, 1.0)]]),
             (
                 3,

@@ -81,18 +81,6 @@ impl Reduction {
         Some(out)
     }
 
-    /// Does this reduction leave the model untouched (no rows removed, no
-    /// columns fixed, no bounds or coefficients changed)? Basis and
-    /// frontier capture in the re-solve engine is only sound when node
-    /// bounds and basis columns live in the original model's spaces.
-    pub fn is_identity(&self) -> bool {
-        self.rows_removed == 0
-            && self.cols_fixed == 0
-            && self.bounds_tightened == 0
-            && self.coeffs_reduced == 0
-            && self.keep.iter().enumerate().all(|(i, k)| *k == Some(i))
-    }
-
     /// Fold the reduction counters into a [`SolverStats`].
     pub fn fill_stats(&self, stats: &mut SolverStats) {
         stats.presolve_rows_removed = self.rows_removed;

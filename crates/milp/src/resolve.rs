@@ -1,161 +1,93 @@
-//! Incremental re-solve engine: an editable, *reusable* solved model.
+//! Incremental re-solve: an editable model that remembers its last
+//! result.
 //!
-//! [`ResolveContext`] wraps a [`Model`] and keeps the machinery of its
-//! last solve alive — the root LP's optimal basis with its LU factors,
-//! the incumbent, and (after an early stop) the open leaves of the
-//! branch-and-bound tree. Small edits then re-optimize from that state
-//! instead of from scratch:
+//! [`ResolveContext`] wraps a [`Model`] and keeps the result of its last
+//! solve — nothing else. The next solve uses that result in one of two
+//! ways:
 //!
-//! - **bound deltas** ([`ResolveContext::set_bounds`]) keep the prior
-//!   basis dual-feasible → warm dual simplex at the root;
-//! - **objective deltas** ([`ResolveContext::set_objective_coeff`]) keep
-//!   it primal-feasible → warm phase-2 primal;
-//! - **added cut rows** ([`ResolveContext::add_cut`]) enter with a basic
-//!   slack, extending the persistent LU factors by a bordered update
-//!   instead of refactoring;
-//! - **added columns** ([`ResolveContext::add_var`] and friends) start
-//!   nonbasic at their lower bound, leaving the factored basis intact;
-//! - **integrality toggles** ([`ResolveContext::relax_integrality`],
-//!   [`ResolveContext::set_var_kind`]) reuse the basis but drop the tree;
-//! - **no deltas at all** returns the cached result for proved statuses,
-//!   and *continues* a time- or node-limited search from its captured
-//!   frontier instead of rebuilding the tree.
+//! - **cached proof**: when no edit changed the model since, the prior
+//!   status is proved (optimal, infeasible or unbounded) and the options
+//!   that decide what the proof means (`cutoff`, `absolute_gap`) are the
+//!   ones it was proved under, the result is returned without touching
+//!   the solver;
+//! - **incumbent seed**: otherwise the prior assignment, when there is
+//!   one, enters the next solve as its starting incumbent. The solver
+//!   re-validates it against the edited model and drops it when an edit
+//!   made it infeasible.
 //!
-//! # Soundness and the fallback ladder
+//! No solver state — basis, LU factors, search tree — moves between
+//! solves: presolve rewrites the scheduling models, so a basis saved in
+//! one solve's index space would not fit the next. Edits are bound,
+//! objective and integrality changes plus appended rows
+//! ([`ResolveContext::add_cut`]); setting a value the model already has
+//! is not an edit, so a caller replaying an unchanged query gets the
+//! cached proof.
 //!
-//! Every reuse step re-validates at run time (factor residual check,
-//! primal/dual feasibility of the adopted basis) and falls back one rung
-//! — reuse factors → refactor → cold two-phase solve — on any doubt, so
-//! an incremental solve can be slower than hoped but never wrong. The
-//! determinism contract is inherited from the solver: an incremental
-//! solve returns the identical status, objective, and assignment as a
-//! from-scratch solve of the edited model with the same (reduced)
-//! options, which [`ResolveContext::audit`] re-checks on demand.
-//!
-//! Context solves run **full-featured** (presolve, probing, cuts,
-//! Gomory separation all on — they dominate solve time); only
-//! symmetry-orbit fixing is forced off, because orbital incumbent
-//! steering makes tied-optimum selection depend on the seed. Basis,
-//! factor, and frontier capture is instead gated *at runtime* on the
-//! solve staying in the original index space (identity presolve
-//! reduction, unchanged dimensions); when presolve did rewrite the
-//! model, only the incumbent carries — re-validated and projected
-//! through the new reduction.
-
-use std::time::Duration;
+//! Context solves run **full-featured** (presolve, probing, cuts, Gomory
+//! separation all on — they dominate solve time); only symmetry-orbit
+//! fixing is forced off, because orbital incumbent steering makes
+//! tied-optimum selection depend on the seed. The determinism contract
+//! is inherited from the solver: a context solve returns the status and
+//! objective of a from-scratch solve of the edited model with the same
+//! (reduced) options, which [`ResolveContext::audit`] re-checks on
+//! demand.
 
 use pipemap_obs as obs;
 
-use crate::branch::{self, ResolveSeed};
-use crate::lu::Factors;
 use crate::model::{LinExpr, Model, RowId, Sense, VarId, VarKind};
-use crate::simplex::WarmBasis;
 use crate::{MilpError, MilpResult, SolverOptions, Status};
 
-/// State carried over from the last solve. The result (incumbent seed,
-/// cached status) survives every solve; the warm-start payload is only
-/// present when the solver ran in the original index space (identity
-/// presolve reduction, no appended cut rows) and could capture it.
+/// The last solve's result, with the options that decide what a proved
+/// status means: a cutoff can make a feasible model look infeasible, and
+/// a wide `absolute_gap` accepts an incumbent as optimal early.
 #[derive(Debug)]
 struct Saved {
-    warm: Option<WarmState>,
-    /// Variable/row counts of the model *at solve time*; the deltas
-    /// `num_vars() - n_vars` and `num_rows() - n_rows` are the appended
-    /// columns/rows the basis must be remapped around.
-    n_vars: usize,
-    n_rows: usize,
     result: MilpResult,
+    cutoff: Option<f64>,
+    absolute_gap: f64,
 }
 
-/// Basis-level reuse payload: only capturable from an index-stable solve.
-#[derive(Debug)]
-struct WarmState {
-    basis: WarmBasis,
-    factors: Option<Factors>,
-    frontier: Option<branch::Frontier>,
-}
-
-/// Edits accumulated since the last solve, classified by which warm-start
-/// path stays sound.
-#[derive(Debug, Default)]
-struct Pending {
-    bounds: bool,
-    objective: bool,
-    kinds: bool,
-    /// Any edit the engine cannot map onto the saved basis (coefficient
-    /// changes to pre-existing columns in pre-existing rows, non-finite
-    /// lower bounds on new columns): the next solve runs cold.
-    structural: bool,
-}
-
-impl Pending {
-    fn any(&self, cols_added: usize, rows_added: usize) -> bool {
-        self.bounds
-            || self.objective
-            || self.kinds
-            || self.structural
-            || cols_added > 0
-            || rows_added > 0
-    }
-}
-
-/// Counters describing how much prior-solve state the context reused.
+/// How the context's solves were served. `cached_results`,
+/// `incumbent_seeds` and `cold_solves` count disjoint classes; a solve
+/// whose caller passed its own `initial_solution` is in none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolveStats {
     /// Solves dispatched through the context (cached returns included).
     pub solves: usize,
     /// Solves answered from the cached result without touching the
-    /// solver (no deltas, prior status already proved).
+    /// solver (unedited model, proved status, same cutoff and gap).
     pub cached_results: usize,
-    /// Solves that ran with no usable saved state at all — no basis, no
-    /// incumbent (first solve, or after a structural edit invalidated
-    /// everything).
+    /// Solves that ran with no incumbent from the context or the caller.
     pub cold_solves: usize,
-    /// Solves that carried the prior solution in as a starting incumbent
-    /// (works across presolve reductions, unlike basis reuse).
+    /// Solves that carried the prior solution in as a starting incumbent.
     pub incumbent_seeds: usize,
-    /// Root LPs warm-started from the saved basis.
-    pub warm_attempts: usize,
-    /// Root warm starts that re-optimized without a cold fallback.
+    /// Always 0: a context carries no basis between solves. Kept for
+    /// readers that report it.
     pub warm_hits: usize,
-    /// Root solves that adopted the saved LU factors (possibly
-    /// border-extended for added cut rows).
-    pub lu_factor_reuses: usize,
-    /// Root solves that refactored from scratch.
-    pub lu_refactors: usize,
-    /// Searches resumed from a captured frontier instead of the root.
-    pub frontier_resumes: usize,
-    /// Open leaves replayed across all frontier resumes.
-    pub frontier_nodes_reused: usize,
 }
 
 impl ResolveStats {
     /// Accumulate another context's counters into this one — for
     /// harnesses that drive several contexts (one per structural sweep
-    /// point) and report a single set of reuse totals.
+    /// point) and report a single set of totals.
     pub fn merge(&mut self, other: &ResolveStats) {
         self.solves += other.solves;
         self.cached_results += other.cached_results;
         self.cold_solves += other.cold_solves;
         self.incumbent_seeds += other.incumbent_seeds;
-        self.warm_attempts += other.warm_attempts;
         self.warm_hits += other.warm_hits;
-        self.lu_factor_reuses += other.lu_factor_reuses;
-        self.lu_refactors += other.lu_refactors;
-        self.frontier_resumes += other.frontier_resumes;
-        self.frontier_nodes_reused += other.frontier_nodes_reused;
     }
 }
 
 /// Outcome of [`ResolveContext::audit`]: the incremental result checked
 /// against a from-scratch solve of the identical model and options.
 ///
-/// Warm-started re-solves inherit the prior optimal basis, so node LPs
-/// can land on *different vertices* of the same optimal face than a
-/// cold solve would — surfacing a different member of a set of tied
-/// optima. That divergence is benign (both assignments are feasible
-/// points of the identical model with the identical objective) and is
-/// reported as [`ResolveAudit::tied_optima`] rather than a failure;
+/// A seeded re-solve starts from the prior assignment, which can be a
+/// *different member* of a set of tied optima than the one a cold search
+/// finds, and the seed can win the tie. That divergence is benign (both
+/// assignments are feasible points of the identical model with the
+/// identical objective) and is reported as
+/// [`ResolveAudit::tied_optima`] rather than a failure;
 /// what the engine guarantees — and [`ResolveAudit::ok`] enforces — is
 /// that status and objective are indistinguishable from a from-scratch
 /// solve and the returned assignment is genuinely feasible.
@@ -194,16 +126,16 @@ impl ResolveAudit {
     }
 }
 
-/// An editable MILP model whose solves reuse the previous solve's basis,
-/// LU factors, incumbent, and (when sound) branch-and-bound frontier.
-/// See the module docs for the delta taxonomy and soundness
-/// rules.
+/// An editable MILP model whose solves reuse the previous solve's result:
+/// as a cached proof when nothing changed, else as an incumbent seed. See
+/// the module docs.
 #[derive(Debug)]
 pub struct ResolveContext {
     base: Model,
     model: Model,
     saved: Option<Saved>,
-    pending: Pending,
+    /// An edit changed the model since the last solve.
+    edited: bool,
     stats: ResolveStats,
 }
 
@@ -216,7 +148,7 @@ impl ResolveContext {
             base: model.clone(),
             model,
             saved: None,
-            pending: Pending::default(),
+            edited: false,
             stats: ResolveStats::default(),
         }
     }
@@ -231,129 +163,49 @@ impl ResolveContext {
         self.saved.as_ref().map(|s| &s.result)
     }
 
-    /// Reuse counters accumulated over this context's lifetime.
+    /// Counters accumulated over this context's lifetime.
     pub fn stats(&self) -> ResolveStats {
         self.stats
     }
 
-    fn cols_added(&self) -> usize {
-        let n = self
-            .saved
-            .as_ref()
-            .map_or(self.model.num_vars(), |s| s.n_vars);
-        self.model.num_vars() - n
-    }
+    // --- edits -----------------------------------------------------------
 
-    fn rows_added(&self) -> usize {
-        let n = self
-            .saved
-            .as_ref()
-            .map_or(self.model.num_rows(), |s| s.n_rows);
-        self.model.num_rows() - n
-    }
-
-    // --- delta API -------------------------------------------------------
-
-    /// Change a variable's bounds (dual-simplex warm start on the next
-    /// solve).
+    /// Change a variable's bounds.
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
-        // No-op edits keep the cached result and frontier alive, so a
-        // caller replaying an unchanged query gets it for free.
-        if self.model.bounds(v) == (lb, ub) {
-            return;
+        if self.model.bounds(v) != (lb, ub) {
+            self.model.set_bounds(v, lb, ub);
+            self.edited = true;
         }
-        self.model.set_bounds(v, lb, ub);
-        self.pending.bounds = true;
     }
 
-    /// Change a variable's objective weight (primal warm start on the
-    /// next solve).
+    /// Change a variable's objective weight.
     pub fn set_objective_coeff(&mut self, v: VarId, obj: f64) {
-        if self.model.objective_coeff(v) == obj {
-            return;
+        if self.model.objective_coeff(v) != obj {
+            self.model.set_objective_coeff(v, obj);
+            self.edited = true;
         }
-        self.model.set_objective_coeff(v, obj);
-        self.pending.objective = true;
     }
 
-    /// Make an integer variable continuous. Keeps the basis, drops any
-    /// captured frontier (branching decisions depended on integrality).
+    /// Make an integer variable continuous.
     pub fn relax_integrality(&mut self, v: VarId) {
-        if self.model.var_kind(v) == VarKind::Continuous {
-            return;
+        if self.model.var_kind(v) != VarKind::Continuous {
+            self.model.relax_integrality(v);
+            self.edited = true;
         }
-        self.model.relax_integrality(v);
-        self.pending.kinds = true;
     }
 
-    /// Set a variable's kind. Same reuse rules as
-    /// [`ResolveContext::relax_integrality`].
-    pub fn set_var_kind(&mut self, v: VarId, kind: VarKind) {
-        if self.model.var_kind(v) == kind {
-            return;
-        }
-        self.model.set_var_kind(v, kind);
-        self.pending.kinds = true;
-    }
-
-    /// Append a variable. It starts nonbasic at its lower bound, so the
-    /// factored basis survives; a non-finite lower bound has no such
-    /// resting point and forces the next solve cold.
-    pub fn add_var(&mut self, lb: f64, ub: f64, obj: f64, kind: VarKind) -> VarId {
-        if !lb.is_finite() {
-            self.pending.structural = true;
-        }
-        self.model.add_var(lb, ub, obj, kind)
-    }
-
-    /// Append a binary variable (see [`ResolveContext::add_var`]).
-    pub fn add_binary(&mut self, obj: f64) -> VarId {
-        self.add_var(0.0, 1.0, obj, VarKind::Integer)
-    }
-
-    /// Append a continuous variable (see [`ResolveContext::add_var`]).
-    pub fn add_continuous(&mut self, lb: f64, ub: f64, obj: f64) -> VarId {
-        self.add_var(lb, ub, obj, VarKind::Continuous)
-    }
-
-    /// Append an integer variable (see [`ResolveContext::add_var`]).
-    pub fn add_integer(&mut self, lb: f64, ub: f64, obj: f64) -> VarId {
-        self.add_var(lb, ub, obj, VarKind::Integer)
-    }
-
-    /// Append a constraint row (a "cut" in re-solve terms). Its slack
-    /// enters the basis, extending the saved LU factors by a bordered
-    /// update on the next solve.
+    /// Append a constraint row (a "cut" in re-solve terms).
     pub fn add_cut(&mut self, expr: LinExpr, sense: Sense, rhs: f64) -> RowId {
+        self.edited = true;
         self.model.add_constraint(expr, sense, rhs)
     }
 
-    /// Add (or merge) one coefficient. Touching a pre-existing column in
-    /// a pre-existing row rewrites the factored matrix and forces the
-    /// next solve cold; coefficients into freshly added rows or columns
-    /// ride the incremental path.
-    pub fn add_coefficient(&mut self, r: RowId, v: VarId, coeff: f64) {
-        let (nv, nr) = self
-            .saved
-            .as_ref()
-            .map_or((usize::MAX, usize::MAX), |s| (s.n_vars, s.n_rows));
-        if v.index() < nv && r.index() < nr {
-            self.pending.structural = true;
-        }
-        self.model.add_coefficient(r, v, coeff);
-    }
-
-    /// Roll every variable's bounds back to the base snapshot (issued as
-    /// ordinary bound deltas, so basis reuse survives). Variables added
-    /// after [`ResolveContext::new`] are left untouched.
+    /// Roll every variable's bounds back to the base snapshot.
     pub fn restore_bounds(&mut self) {
         for j in 0..self.base.num_vars() {
             let v = VarId::from_index(j);
-            let want = self.base.bounds(v);
-            if self.model.bounds(v) != want {
-                self.model.set_bounds(v, want.0, want.1);
-                self.pending.bounds = true;
-            }
+            let (lb, ub) = self.base.bounds(v);
+            self.set_bounds(v, lb, ub);
         }
     }
 
@@ -361,11 +213,7 @@ impl ResolveContext {
     pub fn restore_objective(&mut self) {
         for j in 0..self.base.num_vars() {
             let v = VarId::from_index(j);
-            let want = self.base.objective_coeff(v);
-            if self.model.objective_coeff(v) != want {
-                self.model.set_objective_coeff(v, want);
-                self.pending.objective = true;
-            }
+            self.set_objective_coeff(v, self.base.objective_coeff(v));
         }
     }
 
@@ -376,7 +224,7 @@ impl ResolveContext {
             let want = self.base.var_kind(v);
             if self.model.var_kind(v) != want {
                 self.model.set_var_kind(v, want);
-                self.pending.kinds = true;
+                self.edited = true;
             }
         }
     }
@@ -386,13 +234,8 @@ impl ResolveContext {
     /// The option set context solves (and the audit's cold comparator)
     /// run under: everything exactness-preserving stays ON — presolve,
     /// probing, and the cut loops dominate solve time on the paper's
-    /// scheduling MILPs, and turning them off to protect the basis costs
-    /// far more than basis reuse wins back. Instead, basis/LU/frontier
-    /// capture is gated at runtime on the solve actually staying in the
-    /// original index space (identity reduction, no appended rows);
-    /// incumbent carry works regardless because assignments map across a
-    /// reduction. Only orbital fixing is forced off: it can steer tied
-    /// optima differently depending on the seeded incumbent, making
+    /// scheduling MILPs. Only orbital fixing is forced off: it can steer
+    /// tied optima differently depending on the seeded incumbent, making
     /// incremental-vs-cold value comparisons needlessly noisy.
     fn reduced_opts(opts: &SolverOptions) -> SolverOptions {
         SolverOptions {
@@ -401,148 +244,63 @@ impl ResolveContext {
         }
     }
 
-    /// Solve the current model, reusing as much of the prior solve as
-    /// the accumulated deltas allow (see the module docs).
+    /// Solve the current model: return the cached result when it still
+    /// answers the query, else solve with the prior assignment as the
+    /// starting incumbent (see the module docs).
     ///
     /// # Errors
     ///
     /// [`MilpError`] only on unrecoverable numerical failure, exactly as
-    /// [`Model::solve`]; the saved state is dropped so the next call
-    /// starts cold.
+    /// [`Model::solve`]; the edited model is kept.
     pub fn solve(&mut self, opts: &SolverOptions) -> Result<MilpResult, MilpError> {
         let span = obs::enabled().then(|| obs::span("resolve-solve"));
         self.stats.solves += 1;
-        let cols_added = self.cols_added();
-        let rows_added = self.rows_added();
-        let no_deltas = !self.pending.any(cols_added, rows_added);
 
-        // Proved statuses are immutable facts about an unedited model.
-        if no_deltas {
-            if let Some(s) = &self.saved {
-                if matches!(
+        // A proved status is a fact about an unedited model under the
+        // cutoff and gap it was proved with.
+        if let Some(s) = self.saved.as_ref().filter(|s| {
+            !self.edited
+                && matches!(
                     s.result.status,
                     Status::Optimal | Status::Infeasible | Status::Unbounded
-                ) {
-                    self.stats.cached_results += 1;
-                    obs::instant("resolve-cached");
-                    Self::emit_stats(&self.stats);
-                    drop(span);
-                    return Ok(s.result.clone());
-                }
-            }
+                )
+                && s.cutoff == opts.cutoff
+                && s.absolute_gap == opts.absolute_gap
+        }) {
+            self.stats.cached_results += 1;
+            obs::instant("resolve-cached");
+            Self::emit_stats(&self.stats);
+            drop(span);
+            return Ok(s.result.clone());
         }
 
         let mut ropts = Self::reduced_opts(opts);
         if ropts.initial_solution.is_none() {
-            if let Some(s) = &self.saved {
-                if s.result.status.has_solution() {
-                    // Pad for appended columns: each rests at a finite
-                    // bound (or 0). The solver re-validates feasibility
-                    // and silently drops a seed an added cut excluded.
-                    let mut vals = s.result.values.clone();
-                    for j in vals.len()..self.model.num_vars() {
-                        let (lb, ub) = self.model.bounds(VarId::from_index(j));
-                        vals.push(if lb.is_finite() {
-                            lb
-                        } else if ub.is_finite() {
-                            ub
-                        } else {
-                            0.0
-                        });
-                    }
-                    ropts.initial_solution = Some(vals);
+            match self.saved.as_ref().map(|s| &s.result) {
+                Some(r) if r.status.has_solution() => {
+                    ropts.initial_solution = Some(r.values.clone());
                     self.stats.incumbent_seeds += 1;
                 }
+                _ => self.stats.cold_solves += 1,
             }
         }
-
-        let seed = match (&self.saved, self.pending.structural) {
-            (Some(s), false) => s.warm.as_ref().map(|w| {
-                let mut basis = w.basis.clone();
-                if cols_added > 0 {
-                    basis = basis.with_added_cols(s.n_vars, cols_added);
-                }
-                if rows_added > 0 {
-                    basis = basis.with_added_rows(self.model.num_vars(), rows_added);
-                }
-                // Bound edits and new rows break primal feasibility but
-                // not dual; everything else (objective, kinds, appended
-                // columns at finite bounds) is the reverse. Both gates
-                // are re-checked numerically inside the solver.
-                let primal = !self.pending.bounds && rows_added == 0;
-                let frontier = (no_deltas).then(|| w.frontier.clone()).flatten();
-                ResolveSeed {
-                    basis,
-                    factors: w.factors.clone(),
-                    primal,
-                    frontier,
-                }
-            }),
-            _ => None,
-        };
-        let resuming = seed
-            .as_ref()
-            .and_then(|s| s.frontier.as_ref())
-            .map(branch::Frontier::len);
-        if seed.is_none() && ropts.initial_solution.is_none() {
-            self.stats.cold_solves += 1;
-        }
-        if let Some(n) = resuming {
-            self.stats.frontier_resumes += 1;
-            if obs::enabled() {
-                obs::instant_with("resolve-frontier-resume", vec![("nodes", n.into())]);
-            }
-        }
-
-        let prior = self.saved.take();
-        self.pending = Pending::default();
-        let solved = branch::solve_milp_resolve(&self.model, &ropts, seed.as_ref(), true);
+        self.saved = None;
+        self.edited = false;
+        let result = self.model.solve(&ropts);
         drop(span);
-        let (result, capture) = match solved {
-            Ok(r) => r,
-            Err(e) => {
-                // Cold restart next time; the edited model is kept.
-                return Err(e);
-            }
-        };
-        self.stats.warm_attempts += result.stats.resolve_warm_attempts;
-        self.stats.warm_hits += result.stats.resolve_warm_hits;
-        self.stats.lu_factor_reuses += result.stats.lu_factor_reuses;
-        self.stats.lu_refactors += result.stats.lu_refactors;
-        self.stats.frontier_nodes_reused += result.stats.frontier_nodes_reused;
-
-        // The result always carries forward (incumbent seed, cached
-        // status); the basis payload only when the solver captured one.
-        let warm = capture.and_then(|c| {
-            // A frontier resume never re-solves the root, so the capture
-            // slot stays empty; the prior basis/factors are still the
-            // root's and carry forward.
-            let root = match c.root {
-                Some((b, f)) => Some((b, Some(f))),
-                None => prior
-                    .filter(|_| resuming.is_some())
-                    .and_then(|s| s.warm)
-                    .map(|w| (w.basis, w.factors)),
-            };
-            root.map(|(basis, factors)| WarmState {
-                basis,
-                factors,
-                frontier: c.frontier,
-            })
-        });
+        let result = result?;
         self.saved = Some(Saved {
-            warm,
-            n_vars: self.model.num_vars(),
-            n_rows: self.model.num_rows(),
             result: result.clone(),
+            cutoff: opts.cutoff,
+            absolute_gap: opts.absolute_gap,
         });
         Self::emit_stats(&self.stats);
         Ok(result)
     }
 
-    /// Emit the cumulative reuse counters as a `resolve-stats` instant so
-    /// the flight recorder can attribute fallback-ladder causes (cached /
-    /// warm / incumbent-seeded / cold) without access to the context.
+    /// Emit the cumulative counters as a `resolve-stats` instant so the
+    /// flight recorder can report how solves were served (cached /
+    /// incumbent-seeded / cold) without access to the context.
     fn emit_stats(s: &ResolveStats) {
         if !obs::enabled() {
             return;
@@ -554,12 +312,6 @@ impl ResolveContext {
                 ("cached_results", s.cached_results.into()),
                 ("cold_solves", s.cold_solves.into()),
                 ("incumbent_seeds", s.incumbent_seeds.into()),
-                ("warm_attempts", s.warm_attempts.into()),
-                ("warm_hits", s.warm_hits.into()),
-                ("lu_factor_reuses", s.lu_factor_reuses.into()),
-                ("lu_refactors", s.lu_refactors.into()),
-                ("frontier_resumes", s.frontier_resumes.into()),
-                ("frontier_nodes_reused", s.frontier_nodes_reused.into()),
             ],
         );
     }
@@ -622,15 +374,6 @@ impl ResolveContext {
             cold,
         })
     }
-
-    /// Convenience: solve with a per-call time limit (common in sweeps).
-    ///
-    /// # Errors
-    ///
-    /// See [`ResolveContext::solve`].
-    pub fn solve_with_limit(&mut self, limit: Duration) -> Result<MilpResult, MilpError> {
-        self.solve(&SolverOptions::with_time_limit(limit))
-    }
 }
 
 #[cfg(test)]
@@ -671,7 +414,7 @@ mod tests {
         let inc = cx.solve(&opts).unwrap();
         let audit = cx.audit(&opts).unwrap();
         assert!(audit.ok(), "incremental {inc:?} vs cold {:?}", audit.cold);
-        assert!(cx.stats().warm_attempts >= 1);
+        assert_eq!(cx.stats().incumbent_seeds, 1);
     }
 
     #[test]
@@ -707,36 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn added_column_matches_cold() {
-        let mut cx = ResolveContext::new(knapsack());
-        let opts = SolverOptions::default();
-        cx.solve(&opts).unwrap();
-        // A new item of weight 1, value 6: displaces c in the optimum.
-        let d = cx.add_binary(-6.0);
-        cx.add_coefficient(RowId::from_index(0), d, 1.0);
-        let r = cx.solve(&opts).unwrap();
-        assert_eq!(r.objective.round(), -11.0); // a + d
-        assert!(cx.audit(&opts).unwrap().ok());
-    }
-
-    #[test]
-    fn structural_edit_falls_back_cold() {
-        let mut cx = ResolveContext::new(knapsack());
-        let opts = SolverOptions::default();
-        cx.solve(&opts).unwrap();
-        assert_eq!(cx.stats().cold_solves, 1);
-        // Rewrite an existing coefficient: weight of a becomes 3.
-        cx.add_coefficient(RowId::from_index(0), VarId::from_index(0), 1.0);
-        let r = cx.solve(&opts).unwrap();
-        assert_eq!(r.objective.round(), -5.0); // a alone fills the capacity
-                                               // The saved basis must not be offered across a coefficient
-                                               // rewrite; the prior solution rides along only as an incumbent
-                                               // that the solver re-validates against the edited model.
-        assert_eq!(cx.stats().warm_attempts, 0);
-        assert!(cx.audit(&opts).unwrap().ok());
-    }
-
-    #[test]
     fn integrality_toggle_matches_cold() {
         let mut cx = ResolveContext::new(knapsack());
         let opts = SolverOptions::default();
@@ -750,5 +463,36 @@ mod tests {
         cx.restore_kinds();
         let r2 = cx.solve(&opts).unwrap();
         assert_eq!(r2.objective.round(), -8.0);
+    }
+
+    #[test]
+    fn cached_result_requires_the_cutoff_and_gap_it_was_proved_under() {
+        let mut cx = ResolveContext::new(knapsack());
+        let cut = SolverOptions {
+            cutoff: Some(-8.5),
+            ..SolverOptions::default()
+        };
+        // Nothing beats the cutoff, so the cutoff solve proves "no
+        // solution below -8.5", not infeasibility of the model.
+        assert_eq!(cx.solve(&cut).unwrap().status, Status::Infeasible);
+        let r = cx.solve(&SolverOptions::default()).unwrap();
+        assert_eq!(r.status, Status::Optimal);
+        assert_eq!(r.objective.round(), -8.0);
+        assert_eq!(cx.stats().cached_results, 0);
+        assert_eq!(cx.stats().cold_solves, 2);
+
+        let wide = SolverOptions {
+            absolute_gap: 100.0,
+            ..SolverOptions::default()
+        };
+        cx.solve(&wide).unwrap();
+        assert_eq!(cx.stats().cached_results, 0);
+        assert_eq!(cx.stats().incumbent_seeds, 1);
+        cx.solve(&wide).unwrap();
+        assert_eq!(cx.stats().cached_results, 1);
+        let r = cx.solve(&SolverOptions::default()).unwrap();
+        assert_eq!(r.objective.round(), -8.0);
+        assert_eq!(cx.stats().cached_results, 1);
+        assert_eq!(cx.stats().solves, 5);
     }
 }

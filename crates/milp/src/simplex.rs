@@ -231,20 +231,6 @@ impl LpProblem {
         Ok((sol, snap))
     }
 
-    /// Cold two-phase primal solve that captures both the optimal basis
-    /// *and* its LU factors, so a later re-solve can skip refactorization.
-    pub fn solve_primal_capture(
-        &self,
-        lb: &[f64],
-        ub: &[f64],
-        deadline: Option<Instant>,
-    ) -> Result<(LpSolution, Option<(WarmBasis, Factors)>), LpAbort> {
-        self.solve_cold(lb, ub, deadline, |w| {
-            w.pivot_out_artificials();
-            w.snapshot_with_factors()
-        })
-    }
-
     /// The one cold two-phase primal solve: a singular basis restarts from
     /// scratch with diversified pricing (perturbed first, Bland's rule
     /// last) up to five times. On optimality `extract` reads what the
@@ -280,74 +266,6 @@ impl LpProblem {
         }
         Err(LpAbort::Numerical("repeated singular bases".into()))
     }
-
-    /// Warm re-optimization from a persisted basis, optionally adopting the
-    /// LU factors saved alongside it instead of refactoring from scratch.
-    /// Adopted factors are verified against the current basis by a cheap
-    /// residual check (and extended with a border when the problem gained
-    /// rows since the snapshot); any doubt silently falls back to a fresh
-    /// factorization, and any *warm* doubt to `Err(LpAbort::Singular)` —
-    /// the caller's cue for a cold solve.
-    ///
-    /// `WarmMode::Dual` requires a dual-feasible start (bound deltas, added
-    /// rows); `WarmMode::Primal` a primal-feasible one (objective deltas,
-    /// added columns). Returns `(solution, snapshot, factors_reused)`.
-    pub fn solve_warm_persistent(
-        &self,
-        lb: &[f64],
-        ub: &[f64],
-        warm: &WarmBasis,
-        factors: Option<&Factors>,
-        mode: WarmMode,
-        deadline: Option<Instant>,
-    ) -> Result<PersistentSolve, LpAbort> {
-        let t0 = lp_metrics_start();
-        let (mut w, reused) = match factors {
-            Some(f) => Worker::from_basis_cached(self, lb, ub, warm, f)?,
-            None => (Worker::from_basis(self, lb, ub, warm, None)?, false),
-        };
-        let sol = match mode {
-            WarmMode::Dual => {
-                let mut y = Vec::new();
-                if !w.dual_feasible(1e-6, &mut y) {
-                    return Err(LpAbort::Singular);
-                }
-                w.run_dual(deadline, y)?
-            }
-            WarmMode::Primal => {
-                if !w.primal_feasible(1e-6) {
-                    return Err(LpAbort::Singular);
-                }
-                w.bland = false;
-                w.stall = 0;
-                match w.optimize(deadline)? {
-                    InnerStatus::Optimal => w.finish(LpStatus::Optimal),
-                    InnerStatus::Unbounded => w.finish(LpStatus::Unbounded),
-                }
-            }
-        };
-        let snap = if sol.status == LpStatus::Optimal {
-            w.snapshot_with_factors()
-        } else {
-            None
-        };
-        lp_metrics_record(t0, sol.iters, w.lu, true);
-        Ok((sol, snap, reused))
-    }
-}
-
-/// Outcome of a persistent warm re-optimization: the solution, the new
-/// basis + LU snapshot (on optimality), and whether the cached factors
-/// were adopted rather than rebuilt.
-pub(crate) type PersistentSolve = (LpSolution, Option<(WarmBasis, Factors)>, bool);
-
-/// Which simplex drives a persistent warm re-optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WarmMode {
-    /// Phase-2 primal from a primal-feasible basis (objective changed).
-    Primal,
-    /// Dual pivots from a dual-feasible basis (bounds changed, rows added).
-    Dual,
 }
 
 /// A restartable basis snapshot: the variable statuses and basis columns of
@@ -359,43 +277,6 @@ pub(crate) enum WarmMode {
 pub(crate) struct WarmBasis {
     status: Vec<VStat>,
     basis: Vec<usize>,
-}
-
-impl WarmBasis {
-    /// Remap the snapshot for a problem that gained `added` structural
-    /// columns since it was taken: new columns start nonbasic at their
-    /// lower bound and every slack index shifts up by `added` (the column
-    /// layout is `[structural | slacks]`).
-    pub fn with_added_cols(&self, old_n_struct: usize, added: usize) -> WarmBasis {
-        let mut status = Vec::with_capacity(self.status.len() + added);
-        status.extend_from_slice(&self.status[..old_n_struct.min(self.status.len())]);
-        status.extend(std::iter::repeat_n(VStat::AtLower, added));
-        status.extend_from_slice(&self.status[old_n_struct.min(self.status.len())..]);
-        let basis = self
-            .basis
-            .iter()
-            .map(|&j| if j >= old_n_struct { j + added } else { j })
-            .collect();
-        WarmBasis { status, basis }
-    }
-
-    /// Extend the snapshot for a problem that gained `added` rows since it
-    /// was taken (appended cut rows): each new row's slack enters the basis
-    /// at the matching new position, which keeps the start dual-feasible
-    /// (slacks carry zero cost). `n_struct` is the problem's *current*
-    /// structural column count.
-    pub fn with_added_rows(&self, n_struct: usize, added: usize) -> WarmBasis {
-        let old_m = self.basis.len();
-        let mut status = self.status.clone();
-        let mut basis = self.basis.clone();
-        for i in 0..added {
-            let slack = n_struct + old_m + i;
-            debug_assert_eq!(status.len(), slack);
-            status.push(VStat::Basic(old_m + i));
-            basis.push(slack);
-        }
-        WarmBasis { status, basis }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -902,65 +783,6 @@ impl<'a> Worker<'a> {
         warm: &WarmBasis,
         fresh: Option<&mut Option<Factors>>,
     ) -> Result<Self, LpAbort> {
-        let mut w = Self::from_basis_unfactored(p, lb_in, ub_in, warm)?;
-        match fresh {
-            Some(slot) => match slot.take() {
-                Some(f) => {
-                    debug_assert_eq!(f.dim(), p.m);
-                    debug_assert_eq!(f.eta_count(), 0);
-                    w.factors = f;
-                    w.lu.reuses += 1;
-                    w.recompute_x_basic();
-                }
-                None => {
-                    w.refactor()?;
-                    *slot = Some(w.factors.clone());
-                }
-            },
-            None => w.refactor()?,
-        }
-        Ok(w)
-    }
-
-    /// Like [`Worker::from_basis`], but first tries to adopt previously
-    /// saved LU factors instead of refactoring. Stale or unverifiable
-    /// factors degrade to a fresh factorization, never to wrong answers:
-    /// adoption requires the factor dimension to match (after a border
-    /// extension when the problem gained rows), a short eta file, and a
-    /// residual check of the recomputed basic values. Returns the worker
-    /// plus whether the cached factors were actually reused.
-    fn from_basis_cached(
-        p: &'a LpProblem,
-        lb_in: &[f64],
-        ub_in: &[f64],
-        warm: &WarmBasis,
-        factors: &Factors,
-    ) -> Result<(Self, bool), LpAbort> {
-        let mut w = Self::from_basis_unfactored(p, lb_in, ub_in, warm)?;
-        let mut cached = factors.clone();
-        if cached.dim() < p.m && !extend_factors_for_rows(p, &w.basis, &mut cached) {
-            w.refactor()?;
-            return Ok((w, false));
-        }
-        let reused = cached.dim() == p.m && cached.eta_count() < REFACTOR_ETAS && {
-            w.factors = cached;
-            w.recompute_x_basic();
-            w.residual_ok(1e-6)
-        };
-        if !reused {
-            w.refactor()?;
-        }
-        Ok((w, reused))
-    }
-
-    /// Shared snapshot validation and worker assembly for the warm-start
-    /// constructors; the caller must install factors before solving.
-    fn from_basis_unfactored(
-        p: &'a LpProblem,
-        lb_in: &[f64],
-        ub_in: &[f64],
-        warm: &WarmBasis,
-    ) -> Result<Self, LpAbort> {
         let m = p.m;
         let n = p.n_struct + m;
         if warm.status.len() != n || warm.basis.len() != m {
@@ -1016,12 +838,26 @@ impl<'a> Worker<'a> {
             in_phase1: false,
         };
         w.set_phase2_costs();
+        match fresh {
+            Some(slot) => match slot.take() {
+                Some(f) => {
+                    debug_assert_eq!(f.dim(), m);
+                    debug_assert_eq!(f.eta_count(), 0);
+                    w.factors = f;
+                    w.lu.reuses += 1;
+                    w.recompute_x_basic();
+                }
+                None => {
+                    w.refactor()?;
+                    *slot = Some(w.factors.clone());
+                }
+            },
+            None => w.refactor()?,
+        }
         Ok(w)
     }
 
-    /// Is the current basic point inside its bounds? Primal warm starts
-    /// (objective deltas leave the optimal vertex feasible) require this
-    /// before phase-2 pivoting is sound.
+    /// Is the current basic point inside its bounds?
     fn primal_feasible(&self, tol: f64) -> bool {
         self.basis.iter().enumerate().all(|(pos, &j)| {
             let v = self.x_basic[pos];
@@ -1029,11 +865,9 @@ impl<'a> Worker<'a> {
         })
     }
 
-    /// Cheap O(nnz) certificate that adopted factors actually invert the
+    /// Cheap O(nnz) certificate that the factors actually invert the
     /// current basis: recompute the nonbasic residual `b − N x_N` and
-    /// check `B x_B` reproduces it within `tol`. Catches stale snapshots,
-    /// mis-mapped columns, and drifted eta files before any pivot trusts
-    /// them.
+    /// check `B x_B` reproduces it within `tol`.
     fn residual_ok(&self, tol: f64) -> bool {
         if self.x_basic.iter().any(|v| !v.is_finite()) {
             return false;
@@ -1059,12 +893,6 @@ impl<'a> Worker<'a> {
             }
         }
         resid.iter().all(|v| v.abs() <= tol)
-    }
-
-    /// Snapshot basis *and* factors for persistent re-solves; `None`
-    /// exactly when [`Worker::snapshot`] declines.
-    fn snapshot_with_factors(&self) -> Option<(WarmBasis, Factors)> {
-        self.snapshot().map(|wb| (wb, self.factors.clone()))
     }
 
     /// Duals of the current basis, `y = B⁻ᵀ c_B`, into `y` (indexed by
@@ -1522,40 +1350,6 @@ impl FactorTally {
     }
 }
 
-/// Extend saved LU factors for rows appended to the problem since the
-/// snapshot (added cuts): the extended basis is `[[B, 0], [C, I]]` with
-/// the new rows' slacks basic, so the border rows are just the appended
-/// rows' coefficients on the old basis columns. `basis` must already be
-/// the extended basis vector. Returns `false` when the extension is not
-/// representable (caller refactors instead).
-fn extend_factors_for_rows(p: &LpProblem, basis: &[usize], factors: &mut Factors) -> bool {
-    let old_m = factors.dim();
-    if basis.len() != p.m || p.m < old_m {
-        return false;
-    }
-    let added = p.m - old_m;
-    let mut rows: Vec<(Vec<(usize, f64)>, f64)> = vec![(Vec::new(), 0.0); added];
-    for (pos, &j) in basis.iter().enumerate() {
-        if j >= p.n_struct + p.m {
-            return false;
-        }
-        if pos >= old_m {
-            // Appended positions must carry their own row's slack.
-            if j != p.n_struct + pos {
-                return false;
-            }
-            rows[pos - old_m].1 = 1.0;
-            continue;
-        }
-        for &(r, v) in &p.cols[j] {
-            if r >= old_m {
-                rows[r - old_m].0.push((pos, v));
-            }
-        }
-    }
-    factors.append_rows(&rows)
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InnerStatus {
     Optimal,
@@ -1574,7 +1368,7 @@ enum DualOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LinExpr, Model, RowId, Sense};
+    use crate::model::{LinExpr, Model, Sense};
 
     fn lp(model: &Model) -> LpSolution {
         LpProblem::from_model(model).solve().expect("lp solves")
@@ -1819,142 +1613,6 @@ mod tests {
             .solve_dual_warm(&p.lb, &ub, &warm, None, None)
             .expect("warm start accepted");
         assert_eq!(ws.status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn primal_warm_matches_cold_after_objective_change() {
-        // max 3x + 2y → (4, 0); flip the objective to max 2x + 3y: the old
-        // vertex stays feasible but is no longer optimal, so the primal
-        // warm path must re-pivot to (3, 1) with objective −9.
-        let mut m = Model::new("t");
-        let x = m.add_continuous(0.0, 10.0, -3.0);
-        let y = m.add_continuous(0.0, 10.0, -2.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Sense::Le, 4.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::term(3.0, y), Sense::Le, 6.0);
-        let p = LpProblem::from_model(&m);
-        let (root, snap) = p.solve_primal_capture(&p.lb, &p.ub, None).expect("root");
-        assert_eq!(root.status, LpStatus::Optimal);
-        let (warm, factors) = snap.expect("snapshot");
-
-        let mut m2 = m.clone();
-        m2.set_objective_coeff(x, -2.0);
-        m2.set_objective_coeff(y, -3.0);
-        let p2 = LpProblem::from_model(&m2);
-        let (ws, snap2, reused) = p2
-            .solve_warm_persistent(
-                &p2.lb,
-                &p2.ub,
-                &warm,
-                Some(&factors),
-                WarmMode::Primal,
-                None,
-            )
-            .expect("primal warm accepted");
-        let cold = p2.solve_with_bounds(&p2.lb, &p2.ub, None).expect("cold");
-        assert_eq!(ws.status, LpStatus::Optimal);
-        assert!(
-            (ws.obj - cold.obj).abs() < 1e-6,
-            "{} vs {}",
-            ws.obj,
-            cold.obj
-        );
-        assert!(reused, "identical basis should reuse the saved factors");
-        assert!(snap2.is_some());
-    }
-
-    #[test]
-    fn cached_factors_reused_after_bound_change() {
-        let mut m = Model::new("t");
-        let x = m.add_continuous(0.0, 10.0, -3.0);
-        let y = m.add_continuous(0.0, 10.0, -2.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Sense::Le, 4.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::term(3.0, y), Sense::Le, 6.0);
-        let p = LpProblem::from_model(&m);
-        let (root, snap) = p.solve_primal_capture(&p.lb, &p.ub, None).expect("root");
-        assert_eq!(root.status, LpStatus::Optimal);
-        let (warm, factors) = snap.expect("snapshot");
-
-        let mut ub = p.ub.clone();
-        ub[0] = 2.0;
-        let (ws, _, reused) = p
-            .solve_warm_persistent(&p.lb, &ub, &warm, Some(&factors), WarmMode::Dual, None)
-            .expect("dual warm accepted");
-        let cold = p.solve_with_bounds(&p.lb, &ub, None).expect("cold");
-        assert_eq!(ws.status, LpStatus::Optimal);
-        assert!((ws.obj - cold.obj).abs() < 1e-6);
-        assert!(reused, "bound deltas keep the basis and factors valid");
-    }
-
-    #[test]
-    fn added_row_border_warm_matches_cold() {
-        let mut m = Model::new("t");
-        let x = m.add_continuous(0.0, 10.0, -3.0);
-        let y = m.add_continuous(0.0, 10.0, -2.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Sense::Le, 4.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::term(3.0, y), Sense::Le, 6.0);
-        let p = LpProblem::from_model(&m);
-        let (root, snap) = p.solve_primal_capture(&p.lb, &p.ub, None).expect("root");
-        assert_eq!(root.status, LpStatus::Optimal);
-        let (warm, factors) = snap.expect("snapshot");
-
-        // A cut that separates the old optimum (4, 0): x <= 3.
-        let mut m2 = m.clone();
-        m2.add_constraint(LinExpr::from(x), Sense::Le, 3.0);
-        let p2 = LpProblem::from_model(&m2);
-        let warm2 = warm.with_added_rows(p2.n_struct, 1);
-        let (ws, snap2, reused) = p2
-            .solve_warm_persistent(&p2.lb, &p2.ub, &warm2, Some(&factors), WarmMode::Dual, None)
-            .expect("bordered dual warm accepted");
-        let cold = p2.solve_with_bounds(&p2.lb, &p2.ub, None).expect("cold");
-        assert_eq!(ws.status, LpStatus::Optimal);
-        assert!(
-            (ws.obj - cold.obj).abs() < 1e-6,
-            "{} vs {}",
-            ws.obj,
-            cold.obj
-        );
-        assert!(reused, "border extension should adopt the saved factors");
-        assert!(snap2.is_some());
-    }
-
-    #[test]
-    fn added_cols_remap_preserves_warm_start() {
-        let mut m = Model::new("t");
-        let x = m.add_continuous(0.0, 10.0, -3.0);
-        let y = m.add_continuous(0.0, 10.0, -2.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Sense::Le, 4.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::term(3.0, y), Sense::Le, 6.0);
-        let p = LpProblem::from_model(&m);
-        let (root, snap) = p.solve_primal_capture(&p.lb, &p.ub, None).expect("root");
-        assert_eq!(root.status, LpStatus::Optimal);
-        let (warm, factors) = snap.expect("snapshot");
-
-        // New column with a coefficient in row 0, attractive enough to
-        // enter; starts nonbasic at 0, so the primal warm start is valid.
-        let mut m2 = m.clone();
-        let z = m2.add_continuous(0.0, 1.0, -10.0);
-        m2.add_coefficient(RowId::from_index(0), z, 1.0);
-        let p2 = LpProblem::from_model(&m2);
-        let warm2 = warm.with_added_cols(p.n_struct, 1);
-        let (ws, _, reused) = p2
-            .solve_warm_persistent(
-                &p2.lb,
-                &p2.ub,
-                &warm2,
-                Some(&factors),
-                WarmMode::Primal,
-                None,
-            )
-            .expect("primal warm accepted");
-        let cold = p2.solve_with_bounds(&p2.lb, &p2.ub, None).expect("cold");
-        assert_eq!(ws.status, LpStatus::Optimal);
-        assert!(
-            (ws.obj - cold.obj).abs() < 1e-6,
-            "{} vs {}",
-            ws.obj,
-            cold.obj
-        );
-        assert!(reused);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! their spans, and this module folds spans into wall-clock **phase
 //! attribution** and instants into **gap-closure attribution** — which
 //! cut families moved the root bound and by how much, what branching
-//! contributed, where incumbents came from, how warm starts and the
-//! resolve fallback ladder performed. The result answers "why was this
+//! contributed, where incumbents came from, how warm starts performed
+//! and how re-solves were served. The result answers "why was this
 //! solve slow / why did it time out" without opening a Perfetto UI.
 //!
 //! Reports render two ways: [`SolveReport::render`] (human-readable
@@ -134,7 +134,7 @@ pub struct SolveReport {
     pub top_feature: Option<String>,
     /// Warm-start efficacy, when the search reported it.
     pub warm: Option<WarmSummary>,
-    /// Resolve fallback-ladder counters (`resolve-stats` args).
+    /// Re-solve counters (`resolve-stats` args).
     pub resolve: Vec<(String, f64)>,
     /// `(subproblems, stitched)` from the LNS decompose pass.
     pub lns: Option<(u64, u64)>,
@@ -591,7 +591,7 @@ impl SolveReport {
         }
 
         if !self.resolve.is_empty() {
-            out.push_str("resolve ladder\n");
+            out.push_str("resolve counters\n");
             for (k, v) in &self.resolve {
                 out.push_str(&format!("  {k:<28} {v}\n"));
             }

@@ -197,7 +197,7 @@ pub enum Code {
     /// Incremental and from-scratch solves returned different members of
     /// a tied optimal set; both re-verified feasible (informational).
     ResolveTiedOptima,
-    /// The re-solve engine's reuse counters are internally inconsistent.
+    /// The re-solve engine's counters are internally inconsistent.
     ResolveStatsInconsistent,
 }
 
@@ -409,7 +409,7 @@ impl Code {
             Code::ResolveObjectiveDiverged => "incremental re-solve objective diverges from cold",
             Code::ResolveAssignmentInvalid => "incremental assignment fails re-verification",
             Code::ResolveTiedOptima => "incremental and cold solves picked different tied optima",
-            Code::ResolveStatsInconsistent => "re-solve reuse counters inconsistent",
+            Code::ResolveStatsInconsistent => "re-solve counters inconsistent",
         }
     }
 }

@@ -36,13 +36,12 @@
 //! incumbent before branch-and-bound by re-solving MFFC-cone subgraphs
 //! against a frozen complement, ordered by LP-relaxation fractionality.
 //!
-//! `--resolve on|off` (on by default) routes repeated closely-related
-//! solves — the decomposition's sub-MILPs, and every point of the
-//! `sweep` subcommand — through an editable re-solve context that
-//! warm-starts each solve from the previous one's simplex basis and LU
-//! factors instead of solving cold. `sweep` explores the II × K ×
-//! weight design space over one such context per structural base (cold
-//! per-point replay with `--resolve off`); `--audit` re-checks every
+//! `sweep` explores the II × K × weight design space over one editable
+//! re-solve context per structural base: each weight point starts from
+//! the previous point's optimum as its incumbent, and a base that
+//! formulates the same model as the previous one replays its results.
+//! `--resolve on|off` (on by default) switches only `sweep`: off
+//! rebuilds and cold-solves every point. `--audit` re-checks every
 //! incremental sweep point against a from-scratch solve.
 //!
 //! `--priority-cuts on|off` toggles the certified priority-cut analysis
@@ -283,7 +282,6 @@ fn options(a: &Args) -> FlowOptions {
         decompose: a.decompose,
         priority_cuts: a.priority_cuts,
         max_cuts_per_root: a.max_cuts_per_root,
-        resolve: a.resolve,
         ..FlowOptions::default()
     }
 }
@@ -692,19 +690,12 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
             if let Some(rs) = &rep.resolve {
                 println!(
                     "       reuse: {} solve(s) | {} cached | {} cold | {} base(s) deduped \
-                     | {} incumbent seed(s) | warm hits {}/{} \
-                     | LU reused {} / refactored {} | {} frontier resume(s) ({} node(s))",
+                     | {} incumbent seed(s)",
                     rs.solves,
                     rs.cached_results,
                     rs.cold_solves,
                     rep.bases_deduped,
                     rs.incumbent_seeds,
-                    rs.warm_hits,
-                    rs.warm_attempts,
-                    rs.lu_factor_reuses,
-                    rs.lu_refactors,
-                    rs.frontier_resumes,
-                    rs.frontier_nodes_reused
                 );
             }
             if rep.audit_failures > 0 {
