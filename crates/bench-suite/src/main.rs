@@ -2,10 +2,10 @@
 //! the Table 1 suite twice in the same process — once with the cold
 //! serial solver (no presolve, no warm starts, no structural analysis,
 //! one thread) and once with the full optimized pipeline (presolve, warm
-//! starts, probing, certified cuts, Gomory tableau cuts, orbital fixing,
-//! feedback-guided incumbent decomposition) — asserts the
-//! objectives are identical, and writes the timings plus solver counters
-//! to `BENCH_milp.json`.
+//! starts, probing, certified cuts, Gomory tableau cuts and
+//! feedback-guided incumbent decomposition) — asserts the objectives are
+//! identical, and writes the timings plus solver counters to
+//! `BENCH_milp.json`.
 //!
 //! Exit status is non-zero when any benchmark's optimized objective
 //! diverges from the baseline: the performance work must never change
@@ -639,7 +639,6 @@ fn main() {
         warm_start: false,
         probing: false,
         cuts: false,
-        symmetry: false,
         // Both passes solve the *same* certified-pruned model: the
         // cold/optimized delta then measures solver features alone, and
         // `objectives_match` compares like against like. The size audit
@@ -840,8 +839,7 @@ fn main() {
              \"presolve_bounds_tightened\": {}, \"presolve_coeffs_reduced\": {}, \
              \"probe_vars\": {}, \"probe_fixings\": {}, \"probe_implications\": {}, \
              \"clique_table\": {}, \"clique_cuts\": {}, \"cover_cuts\": {}, \"implication_cuts\": {}, \
-             \"cut_rounds\": {}, \"cuts_aged_out\": {}, \"symmetry_orbits\": {}, \
-             \"orbital_fixings\": {}, \"implication_fixings\": {}, \
+             \"cut_rounds\": {}, \"cuts_aged_out\": {}, \"implication_fixings\": {}, \
              \"gomory_cuts\": {}, \"subproblems_solved\": {}, \
              \"stitched_incumbents\": {}, \"incumbent_source\": \"{}\", \
              \"warm_skip_reason\": {}, \
@@ -878,8 +876,6 @@ fn main() {
             s.implication_cuts,
             s.cut_rounds,
             s.cuts_aged_out,
-            s.symmetry_orbits,
-            s.orbital_fixings,
             s.implication_fixings,
             s.gomory_cuts,
             o.milp.subproblems_solved,

@@ -280,7 +280,6 @@ pub(crate) fn partition_bound(
             jobs: cfg.jobs.max(1),
             probing: false,
             cuts: false,
-            symmetry: false,
             ..SolverOptions::default()
         };
         cx.restore_objective();
@@ -389,7 +388,6 @@ pub(crate) fn refine_incumbent(
                 // than they save here.
                 probing: false,
                 cuts: false,
-                symmetry: false,
                 ..SolverOptions::default()
             };
             cx.restore_bounds();

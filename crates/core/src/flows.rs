@@ -101,8 +101,6 @@ pub struct FlowOptions {
     /// Extra latency slack on top of the baseline depth for the MILP's
     /// schedule windows.
     pub extra_latency: u32,
-    /// Seed the MILP with the baseline solution as the initial incumbent.
-    pub seed_with_baseline: bool,
     /// Run the `pipemap-analyze` simplification pre-pass before the
     /// mapping-aware MILP flow (on by default). The rewritten graph is
     /// audited by replaying seeded vectors against the original before it
@@ -124,9 +122,6 @@ pub struct FlowOptions {
     pub probing: bool,
     /// Separate certified clique/cover cuts at the root (on by default).
     pub cuts: bool,
-    /// Detect symmetric binary columns and apply orbital fixing during
-    /// the search (on by default).
-    pub symmetry: bool,
     /// Separate rank-1 Gomory mixed-integer cuts from the root simplex
     /// tableau, each shipped with a machine-checkable derivation
     /// certificate (audited by `pipemap-verify`'s `P07xx` pass). Off by
@@ -154,14 +149,12 @@ impl Default for FlowOptions {
             filter_dominated: true,
             time_limit: Duration::from_secs(60),
             extra_latency: 0,
-            seed_with_baseline: true,
             analyze: true,
             jobs: 1,
             presolve: true,
             warm_start: true,
             probing: true,
             cuts: true,
-            symmetry: true,
             gomory_cuts: false,
             decompose: false,
         }
@@ -492,14 +485,10 @@ fn run_milp(
             seed_candidates = cands;
         }
     }
-    let mut seed = if opts.seed_with_baseline {
-        seed_candidates.iter().find_map(|imp| {
-            let v = f.seed(dfg, target, db, imp)?;
-            f.model.check_feasible(&v, 1e-6).is_none().then_some(v)
-        })
-    } else {
-        None
-    };
+    let mut seed = seed_candidates.iter().find_map(|imp| {
+        let v = f.seed(dfg, target, db, imp)?;
+        f.model.check_feasible(&v, 1e-6).is_none().then_some(v)
+    });
     drop(build_span);
 
     // Feedback-guided subgraph decomposition: refine the seed by
@@ -548,7 +537,6 @@ fn run_milp(
         warm_start: opts.warm_start,
         probing: opts.probing,
         cuts: opts.cuts,
-        symmetry: opts.symmetry,
         gomory_cuts: opts.gomory_cuts,
         ..SolverOptions::default()
     };

@@ -16,12 +16,13 @@ use std::collections::{BTreeMap, BTreeSet};
 const MAX_ROW_LEN: usize = 64;
 /// Total conflict edges kept.
 const MAX_EDGES: usize = 100_000;
+/// Cliques kept in the table.
+const MAX_CLIQUES: usize = 4096;
 
 pub(super) fn build_cliques(
     model: &Model,
     binary: &[bool],
     implications: &[Implication],
-    max_cliques: usize,
 ) -> Vec<Clique> {
     let mut edges: BTreeMap<(usize, usize), EdgeWitness> = BTreeMap::new();
 
@@ -103,7 +104,7 @@ pub(super) fn build_cliques(
     let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
     let mut cliques = Vec::new();
     for &(a, b) in edges.keys() {
-        if cliques.len() >= max_cliques {
+        if cliques.len() >= MAX_CLIQUES {
             break;
         }
         let mut members: BTreeSet<usize> = [a, b].into_iter().collect();

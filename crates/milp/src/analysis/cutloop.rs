@@ -6,7 +6,7 @@
 //! Runs before the branch-and-bound workers spawn, so it is
 //! deterministic regardless of the `jobs` setting.
 
-use super::gomory::{separate_gomory, GomoryConfig, GomoryShift};
+use super::gomory::{separate_gomory, GomoryShift, MAX_CUTS, MAX_MODEL_VARS};
 use super::{binary_mask, Clique, Implication, StructuralAnalysis};
 use crate::model::{LinExpr, Model, Sense, VarId, VarKind};
 use crate::simplex::{LpProblem, LpStatus};
@@ -14,6 +14,13 @@ use pipemap_obs as obs;
 use pipemap_obs::metrics;
 use std::collections::BTreeSet;
 use std::time::Instant;
+
+/// Cuts added per separation round.
+const MAX_PER_ROUND: usize = 128;
+/// Consecutive slack rounds before a pool cut ages out.
+const AGE_LIMIT: usize = 2;
+/// Minimum LP violation for a cut to be worth separating.
+const MIN_VIOLATION: f64 = 1e-4;
 
 /// Validity proof of a [`CertifiedCut`].
 #[derive(Debug, Clone, PartialEq)]
@@ -117,12 +124,6 @@ pub struct CutLoopConfig {
     /// Separation rounds (0 disables separation; certified fixings are
     /// still applied to the bounds).
     pub max_rounds: usize,
-    /// Cuts added per round.
-    pub max_per_round: usize,
-    /// Consecutive slack rounds before a pool cut ages out.
-    pub age_limit: usize,
-    /// Minimum LP violation for a cut to be worth separating.
-    pub min_violation: f64,
     /// Separate rank-1 Gomory mixed-integer cuts from the round-0
     /// tableau (see the `gomory` module).
     pub gomory: bool,
@@ -132,9 +133,6 @@ impl Default for CutLoopConfig {
     fn default() -> Self {
         CutLoopConfig {
             max_rounds: 8,
-            max_per_round: 128,
-            age_limit: 2,
-            min_violation: 1e-4,
             gomory: false,
         }
     }
@@ -205,7 +203,6 @@ fn separate_cover(
     binary: &[bool],
     ri: usize,
     x: &[f64],
-    min_violation: f64,
 ) -> Option<(CertifiedCut, f64)> {
     let row = &model.rows[ri];
     let s = if row.sense == Sense::Ge { -1.0 } else { 1.0 };
@@ -249,7 +246,7 @@ fn separate_cover(
         return None;
     }
     let violation = lsum - (members.len() as f64 - 1.0);
-    if violation <= min_violation {
+    if violation <= MIN_VIOLATION {
         return None;
     }
 
@@ -323,7 +320,6 @@ pub fn root_cut_loop(
     let mut stats = CutLoopStats::default();
     let mut prev_obj = f64::NEG_INFINITY;
     let mut stalled = 0usize;
-    let gomory_cfg = GomoryConfig::default();
 
     for round in 0..cfg.max_rounds {
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -351,7 +347,7 @@ pub fn root_cut_loop(
         // round 0, when the pool is empty and `work == base`, so every
         // certificate multiplier references an original model row.
         let mut tableau = None;
-        let gomory_here = cfg.gomory && round == 0 && base.num_vars() <= gomory_cfg.max_model_vars;
+        let gomory_here = cfg.gomory && round == 0 && base.num_vars() <= MAX_MODEL_VARS;
         let solved = if gomory_here {
             let candidate: Vec<bool> = work
                 .cols
@@ -359,19 +355,12 @@ pub fn root_cut_loop(
                 .map(|c| c.kind == VarKind::Integer)
                 .collect();
             // Extract more rows than will ship: `separate_gomory` keeps
-            // only the most violated `max_cuts` of them.
-            lp.solve_primal_tableau(
-                &lp.lb,
-                &lp.ub,
-                deadline,
-                &candidate,
-                1e-6,
-                gomory_cfg.max_cuts * 4,
-            )
-            .map(|(s, t)| {
-                tableau = t;
-                s
-            })
+            // only the most violated `MAX_CUTS` of them.
+            lp.solve_primal_tableau(&lp.lb, &lp.ub, deadline, &candidate, 1e-6, MAX_CUTS * 4)
+                .map(|(s, t)| {
+                    tableau = t;
+                    s
+                })
         } else {
             lp.solve_primal(&lp.lb, &lp.ub, deadline).map(|(s, _)| s)
         };
@@ -426,7 +415,7 @@ pub fn root_cut_loop(
         prev_obj = sol.obj;
         let x = &sol.x;
 
-        // Age the pool: cuts slack for `age_limit` consecutive rounds
+        // Age the pool: cuts slack for `AGE_LIMIT` consecutive rounds
         // leave (and may be re-separated later if they cut again).
         for pc in pool.iter_mut() {
             if pc.cut.rhs - pc.cut.lhs(x) > 1e-7 {
@@ -437,7 +426,7 @@ pub fn root_cut_loop(
         }
         let before = pool.len();
         pool.retain(|pc| {
-            let keep = pc.age < cfg.age_limit;
+            let keep = pc.age < AGE_LIMIT;
             if !keep {
                 seen.remove(&pc.cut.key());
             }
@@ -451,7 +440,7 @@ pub fn root_cut_loop(
         let mut cands: Vec<(CertifiedCut, f64, CutKind)> = Vec::new();
         for cl in &analysis.cliques {
             let v: f64 = cl.members.iter().map(|&j| x[j]).sum::<f64>() - 1.0;
-            if v > cfg.min_violation {
+            if v > MIN_VIOLATION {
                 cands.push((
                     CertifiedCut {
                         coeffs: cl.members.iter().map(|&j| (j, 1.0)).collect(),
@@ -464,7 +453,7 @@ pub fn root_cut_loop(
             }
         }
         for ri in 0..model.num_rows() {
-            if let Some((cut, v)) = separate_cover(model, &binary, ri, x, cfg.min_violation) {
+            if let Some((cut, v)) = separate_cover(model, &binary, ri, x) {
                 cands.push((cut, v, CutKind::Cover));
             }
         }
@@ -472,7 +461,7 @@ pub fn root_cut_loop(
             let (coeffs, rhs) = implication_expression(imp);
             let lhs: f64 = coeffs.iter().map(|&(j, c)| c * x[j]).sum();
             let v = lhs - rhs;
-            if v > cfg.min_violation {
+            if v > MIN_VIOLATION {
                 cands.push((
                     CertifiedCut {
                         coeffs,
@@ -487,7 +476,7 @@ pub fn root_cut_loop(
             }
         }
         if let Some(tab) = tableau.as_ref() {
-            for (cut, v) in separate_gomory(&base, &lp, tab, x, &gomory_cfg) {
+            for (cut, v) in separate_gomory(&base, &lp, tab, x) {
                 cands.push((cut, v, CutKind::Gomory));
             }
         }
@@ -505,7 +494,7 @@ pub fn root_cut_loop(
         });
         let mut added = 0usize;
         for (cut, _v, kind) in cands {
-            if added >= cfg.max_per_round {
+            if added >= MAX_PER_ROUND {
                 break;
             }
             if seen.insert(cut.key()) {

@@ -30,43 +30,25 @@ use super::cutloop::{CertifiedCut, CutProof};
 use crate::model::{Model, VarKind};
 use crate::simplex::{LpProblem, TabStat, TableauData, TableauRow};
 
-/// Numerical-safety knobs for GMI admission.
-#[derive(Debug, Clone)]
-pub struct GomoryConfig {
-    /// Maximum cuts separated per invocation (also caps extracted
-    /// tableau rows).
-    pub max_cuts: usize,
-    /// Minimum LP violation for a cut to be worth shipping.
-    pub min_violation: f64,
-    /// Maximum structural support of a shipped cut.
-    pub max_support: usize,
-    /// Maximum ratio of largest to smallest |coefficient|.
-    pub max_dynamism: f64,
-    /// Maximum |coefficient| and |rhs| magnitude.
-    pub max_coeff: f64,
-    /// `f₀` must lie in `[away, 1 − away]` — rows barely fractional
-    /// produce weak, noise-dominated cuts.
-    pub away: f64,
-    /// Skip separation entirely on models with more columns than this:
-    /// every shipped cut is an extra dense row in each warm-started node
-    /// LP, and on models too large for the tree to finish within budget
-    /// the lost node throughput costs more bound than the cuts add.
-    pub max_model_vars: usize,
-}
-
-impl Default for GomoryConfig {
-    fn default() -> Self {
-        GomoryConfig {
-            max_cuts: 12,
-            min_violation: 1e-3,
-            max_support: 64,
-            max_dynamism: 1e6,
-            max_coeff: 1e7,
-            away: 0.01,
-            max_model_vars: 256,
-        }
-    }
-}
+/// Maximum cuts separated per invocation (the cut loop extracts four
+/// times as many tableau rows).
+pub(super) const MAX_CUTS: usize = 12;
+/// Minimum LP violation for a cut to be worth shipping.
+const MIN_VIOLATION: f64 = 1e-3;
+/// Maximum structural support of a shipped cut.
+const MAX_SUPPORT: usize = 64;
+/// Maximum ratio of largest to smallest |coefficient|.
+const MAX_DYNAMISM: f64 = 1e6;
+/// Maximum |coefficient| and |rhs| magnitude.
+const MAX_COEFF: f64 = 1e7;
+/// `f₀` must lie in `[AWAY, 1 − AWAY]` — rows barely fractional
+/// produce weak, noise-dominated cuts.
+const AWAY: f64 = 0.01;
+/// Skip separation entirely on models with more columns than this:
+/// every shipped cut is an extra dense row in each warm-started node
+/// LP, and on models too large for the tree to finish within budget
+/// the lost node throughput costs more bound than the cuts add.
+pub(super) const MAX_MODEL_VARS: usize = 256;
 
 /// How one aggregated-row column was shifted before GMI rounding.
 ///
@@ -111,7 +93,7 @@ pub(crate) fn integral_slack_rows(model: &Model) -> Vec<bool> {
 /// `x` (structural values). `base` must be the exact model `lp` was
 /// built from. Returns each admitted cut with its violation at `x`.
 ///
-/// Every extracted row is derived, then only the `max_cuts` *most
+/// Every extracted row is derived, then only the `MAX_CUTS` *most
 /// violated* survivors ship: each shipped cut is an extra dense row in
 /// every warm-started node LP of the tree, so on a tight time budget a
 /// few strong cuts beat many shallow ones — the shallow ones cost more
@@ -121,14 +103,13 @@ pub(crate) fn separate_gomory(
     lp: &LpProblem,
     tab: &TableauData,
     x: &[f64],
-    cfg: &GomoryConfig,
 ) -> Vec<(CertifiedCut, f64)> {
     let integral_row = integral_slack_rows(base);
     let mut out = Vec::new();
     for row in &tab.rows {
-        if let Some(cut) = derive_gmi(base, lp, &tab.status, row, &integral_row, cfg) {
+        if let Some(cut) = derive_gmi(base, lp, &tab.status, row, &integral_row) {
             let violation = cut.lhs(x) - cut.rhs;
-            if violation > cfg.min_violation {
+            if violation > MIN_VIOLATION {
                 out.push((cut, violation));
             }
         }
@@ -140,7 +121,7 @@ pub(crate) fn separate_gomory(
             .unwrap()
             .then_with(|| p.0.key().cmp(&q.0.key()))
     });
-    out.truncate(cfg.max_cuts);
+    out.truncate(MAX_CUTS);
     out
 }
 
@@ -153,7 +134,6 @@ fn derive_gmi(
     status: &[TabStat],
     row: &TableauRow,
     integral_row: &[bool],
-    cfg: &GomoryConfig,
 ) -> Option<CertifiedCut> {
     let n = lp.n_struct;
     let m = lp.m;
@@ -233,7 +213,7 @@ fn derive_gmi(
     }
 
     let f0 = beta - beta.floor();
-    if !f0.is_finite() || f0 < cfg.away || f0 > 1.0 - cfg.away {
+    if !f0.is_finite() || !(AWAY..=1.0 - AWAY).contains(&f0) {
         return None;
     }
     let one_minus = 1.0 - f0;
@@ -337,7 +317,7 @@ fn derive_gmi(
     let rhs = rhs + 1e-9 * (1.0 + rhs.abs());
 
     // Whole-cut admission.
-    if coeffs.is_empty() || coeffs.len() > cfg.max_support {
+    if coeffs.is_empty() || coeffs.len() > MAX_SUPPORT {
         return None;
     }
     let mut mx = 0.0f64;
@@ -346,10 +326,10 @@ fn derive_gmi(
         mx = mx.max(c.abs());
         mn = mn.min(c.abs());
     }
-    if !rhs.is_finite() || mx > cfg.max_coeff || rhs.abs() > cfg.max_coeff {
+    if !rhs.is_finite() || mx > MAX_COEFF || rhs.abs() > MAX_COEFF {
         return None;
     }
-    if mx / mn > cfg.max_dynamism {
+    if mx / mn > MAX_DYNAMISM {
         return None;
     }
 
@@ -408,7 +388,7 @@ mod tests {
         assert_eq!(sol.status, LpStatus::Optimal);
         let tab = tab.expect("tableau extracted");
         assert!(!tab.rows.is_empty(), "a fractional basic integer exists");
-        let cuts = separate_gomory(model, &lp, &tab, &sol.x, &GomoryConfig::default());
+        let cuts = separate_gomory(model, &lp, &tab, &sol.x);
         (cuts, sol.x)
     }
 
@@ -507,7 +487,7 @@ mod tests {
             .expect("lp solves");
         assert_eq!(sol.status, LpStatus::Optimal);
         if let Some(tab) = tab {
-            let cuts = separate_gomory(&m, &lp, &tab, &sol.x, &GomoryConfig::default());
+            let cuts = separate_gomory(&m, &lp, &tab, &sol.x);
             // Validity must hold for the continuous column at any value;
             // spot-check y over a grid by brute force on a refined model
             // where y is restricted to integers (a subset of feasible

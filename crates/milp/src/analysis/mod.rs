@@ -1,5 +1,5 @@
 //! Static structural analysis of MILP models: probing, a conflict graph
-//! with a clique table, symmetry detection, and certified cutting planes.
+//! with a clique table, and certified cutting planes.
 //!
 //! The scheduling MILPs the paper's formulation emits are dominated by
 //! binary cut-selection variables tied together by "choose exactly one
@@ -14,33 +14,28 @@
 //! * the probing implications plus pairwise-infeasible row terms form a
 //!   **conflict graph**, condensed into a table of [`Clique`]s (every
 //!   pair of members carries an [`EdgeWitness`]),
-//! * hash-based partition refinement over the constraint matrix proposes
-//!   interchangeable columns; each candidate pair is only accepted into
-//!   an [`Orbit`] after an explicit automorphism witness
-//!   ([`Transposition`]) has been constructed and checked,
 //! * [`root_cut_loop`] separates violated **clique cuts** and **cover
 //!   cuts** against the root LP relaxation, with activity-based aging of
 //!   the pool; every emitted [`CertifiedCut`] carries a
 //!   machine-checkable [`CutProof`].
 //!
-//! Every artifact is a *certificate*: a replayable implication chain, a
-//! clique membership proof, or an automorphism witness. The
-//! `pipemap-verify` crate re-derives all of them independently (its
-//! `P05xx` pass), so solver aggressiveness never outruns soundness. All
-//! of the analysis is deterministic — same model in, same certificates
-//! out — which the parallel search's determinism contract relies on.
+//! Every artifact is a *certificate*: a replayable implication chain or
+//! a clique membership proof. The `pipemap-verify` crate re-derives all
+//! of them independently (its `P05xx` pass), so solver aggressiveness
+//! never outruns soundness. All of the analysis is deterministic — same
+//! model in, same certificates out — which the parallel search's
+//! determinism contract relies on.
 
 mod clique;
 mod cutloop;
 mod gomory;
 mod probe;
-mod symmetry;
 
 pub use cutloop::{
     implication_expression, root_cut_loop, CertifiedCut, CutLoopConfig, CutLoopOutcome,
     CutLoopStats, CutProof,
 };
-pub use gomory::{GomoryConfig, GomoryShift};
+pub use gomory::GomoryShift;
 
 use crate::model::{Model, VarKind};
 
@@ -165,30 +160,6 @@ pub struct Clique {
     pub edges: Vec<(usize, usize, EdgeWitness)>,
 }
 
-/// A column transposition together with the row permutation that makes
-/// it a model automorphism: swapping the two columns and permuting the
-/// listed rows maps the model onto itself exactly (same bounds,
-/// objective, senses, right-hand sides, and coefficients).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transposition {
-    /// The two swapped columns.
-    pub cols: (usize, usize),
-    /// Rows moved by the permutation as `(from, to)` pairs; every row
-    /// not listed maps to itself.
-    pub row_map: Vec<(usize, usize)>,
-}
-
-/// An orbit of interchangeable binary columns. The witnesses' pair graph
-/// connects all members, so the full symmetric group on the orbit maps
-/// feasible points to feasible points of equal objective.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Orbit {
-    /// Member columns, ascending.
-    pub members: Vec<usize>,
-    /// Verified transpositions whose pair graph spans the members.
-    pub witnesses: Vec<Transposition>,
-}
-
 /// Knobs for [`analyze`].
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
@@ -196,19 +167,6 @@ pub struct AnalysisConfig {
     pub probing: bool,
     /// Build the conflict graph and clique table.
     pub cliques: bool,
-    /// Detect column symmetries.
-    pub symmetry: bool,
-    /// Probe at most this many binary columns.
-    pub max_probe_vars: usize,
-    /// Stop opening new probe candidates once this many row-term
-    /// evaluations have been spent across all probes. Keeps probing
-    /// time bounded on huge models independently of wall-clock, so the
-    /// analysis stays deterministic.
-    pub max_probe_work: usize,
-    /// Record at most this many propagation steps per probe.
-    pub max_steps: usize,
-    /// Keep at most this many cliques in the table.
-    pub max_cliques: usize,
 }
 
 impl Default for AnalysisConfig {
@@ -216,11 +174,6 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             probing: true,
             cliques: true,
-            symmetry: true,
-            max_probe_vars: 2048,
-            max_probe_work: 20_000_000,
-            max_steps: 64,
-            max_cliques: 4096,
         }
     }
 }
@@ -234,8 +187,6 @@ pub struct StructuralAnalysis {
     pub implications: Vec<Implication>,
     /// The clique table over the conflict graph.
     pub cliques: Vec<Clique>,
-    /// Verified symmetry orbits over binary columns.
-    pub orbits: Vec<Orbit>,
     /// Set when probing proved the whole model integer-infeasible.
     pub infeasible: Option<Box<InfeasibilityProof>>,
     /// Number of binary columns probed.
@@ -257,20 +208,16 @@ pub(crate) fn binary_mask(model: &Model) -> Vec<bool> {
 /// certificates, in the same order.
 pub fn analyze(model: &Model, cfg: &AnalysisConfig) -> StructuralAnalysis {
     let mut out = StructuralAnalysis::default();
-    let inc = probe::Incidence::new(model);
     let binary = binary_mask(model);
 
     if cfg.probing {
-        probe::run_probing(model, &inc, &binary, cfg, &mut out);
+        probe::run_probing(model, &binary, &mut out);
     }
     if out.infeasible.is_some() {
         return out;
     }
     if cfg.cliques {
-        out.cliques = clique::build_cliques(model, &binary, &out.implications, cfg.max_cliques);
-    }
-    if cfg.symmetry {
-        out.orbits = symmetry::detect_orbits(model, &inc, &binary);
+        out.cliques = clique::build_cliques(model, &binary, &out.implications);
     }
     out
 }

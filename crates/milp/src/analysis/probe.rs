@@ -2,8 +2,7 @@
 //! bound implications, recording every step so the derivation replays.
 
 use super::{
-    AnalysisConfig, Conflict, Fixing, Implication, InfeasibilityProof, ProbeChain, PropStep,
-    StructuralAnalysis,
+    Conflict, Fixing, Implication, InfeasibilityProof, ProbeChain, PropStep, StructuralAnalysis,
 };
 use crate::model::{Model, Sense, VarKind};
 use std::collections::VecDeque;
@@ -16,6 +15,14 @@ const INFEAS_TOL: f64 = 1e-6;
 const WORK_CAP: usize = 2_000;
 /// Implications kept across all probes.
 const MAX_IMPLICATIONS: usize = 20_000;
+/// Binary columns probed at most.
+const MAX_PROBE_VARS: usize = 2048;
+/// Row-term evaluations across all probes before no new candidate is
+/// opened. Keeps probing time bounded on huge models independently of
+/// wall-clock, so the analysis stays deterministic.
+const MAX_PROBE_WORK: usize = 20_000_000;
+/// Propagation steps recorded per probe.
+const MAX_STEPS: usize = 64;
 
 /// Running activity bounds of one row's terms under the working bounds.
 ///
@@ -128,12 +135,12 @@ impl Activity {
 }
 
 /// Column → incident rows.
-pub(super) struct Incidence {
-    pub col_rows: Vec<Vec<u32>>,
+struct Incidence {
+    col_rows: Vec<Vec<u32>>,
 }
 
 impl Incidence {
-    pub fn new(model: &Model) -> Self {
+    fn new(model: &Model) -> Self {
         let mut col_rows = vec![Vec::new(); model.num_vars()];
         for (ri, row) in model.rows.iter().enumerate() {
             for &(v, _) in &row.coeffs {
@@ -145,26 +152,19 @@ impl Incidence {
 }
 
 /// Outcome of propagating one tentative fixing to quiescence.
-pub(super) struct ProbeOutcome {
-    pub chain: ProbeChain,
-    pub conflict: Option<Conflict>,
+struct ProbeOutcome {
+    chain: ProbeChain,
+    conflict: Option<Conflict>,
     /// Binary columns pinned to a value at quiescence, probed column
     /// excluded; empty when a conflict fired.
-    pub pinned: Vec<(usize, f64)>,
+    pinned: Vec<(usize, f64)>,
     /// Row-term evaluations spent, for the global probing work budget.
-    pub work: usize,
+    work: usize,
 }
 
 /// Tentatively fix `col = value` and propagate to quiescence (bounded
 /// work), recording each tightening as a replayable [`PropStep`].
-pub(super) fn probe(
-    model: &Model,
-    inc: &Incidence,
-    binary: &[bool],
-    col: usize,
-    value: f64,
-    max_steps: usize,
-) -> ProbeOutcome {
+fn probe(model: &Model, inc: &Incidence, binary: &[bool], col: usize, value: f64) -> ProbeOutcome {
     let mut lb: Vec<f64> = model.cols.iter().map(|c| c.lb).collect();
     let mut ub: Vec<f64> = model.cols.iter().map(|c| c.ub).collect();
     lb[col] = value;
@@ -264,7 +264,7 @@ pub(super) fn probe(
                 break 'outer;
             }
             if moved {
-                if steps.len() >= max_steps {
+                if steps.len() >= MAX_STEPS {
                     break 'outer;
                 }
                 for &r2 in &inc.col_rows[j] {
@@ -297,19 +297,14 @@ pub(super) fn probe(
     }
 }
 
-/// Probe every free binary column (up to the config cap), filling the
-/// analysis with certified fixings, implications, or an infeasibility
-/// proof.
-pub(super) fn run_probing(
-    model: &Model,
-    inc: &Incidence,
-    binary: &[bool],
-    cfg: &AnalysisConfig,
-    out: &mut StructuralAnalysis,
-) {
+/// Probe every free binary column (up to `MAX_PROBE_VARS`), filling
+/// the analysis with certified fixings, implications, or an
+/// infeasibility proof.
+pub(super) fn run_probing(model: &Model, binary: &[bool], out: &mut StructuralAnalysis) {
+    let inc = &Incidence::new(model);
     let candidates: Vec<usize> = (0..model.num_vars())
         .filter(|&j| binary[j] && !inc.col_rows[j].is_empty())
-        .take(cfg.max_probe_vars)
+        .take(MAX_PROBE_VARS)
         .collect();
 
     let mut spent = 0usize;
@@ -317,11 +312,11 @@ pub(super) fn run_probing(
         // Deterministic global budget: stop opening new candidates once
         // the term-evaluation count is exhausted, so huge models spend
         // bounded time here and leave the rest to the tree.
-        if spent >= cfg.max_probe_work {
+        if spent >= MAX_PROBE_WORK {
             break;
         }
-        let down = probe(model, inc, binary, j, 0.0, cfg.max_steps);
-        let up = probe(model, inc, binary, j, 1.0, cfg.max_steps);
+        let down = probe(model, inc, binary, j, 0.0);
+        let up = probe(model, inc, binary, j, 1.0);
         spent += down.work + up.work;
         out.probed += 1;
         match (down.conflict, up.conflict) {

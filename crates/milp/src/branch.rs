@@ -307,10 +307,10 @@ fn offer_incumbent(int_cols: &[usize], state: &mut SearchState, obj: f64, x: Vec
     }
 }
 
-/// Per-column conflict-graph implications and the symmetry-orbit index,
-/// used to strengthen child nodes. Built once after the root analysis;
-/// workers read it immutably, so node processing stays a pure function
-/// of the node and the determinism contract holds.
+/// Per-column conflict-graph implications, used to strengthen child
+/// nodes. Built once after the root analysis; workers read it
+/// immutably, so node processing stays a pure function of the node and
+/// the determinism contract holds.
 struct NodeStructure {
     /// Free binary columns of the (strengthened) reduced model.
     binary: Vec<bool>,
@@ -319,10 +319,6 @@ struct NodeStructure {
     down: Vec<Vec<(usize, f64)>>,
     /// Implications applied when a column is branched up (fixed to 1).
     up: Vec<Vec<(usize, f64)>>,
-    /// Column → orbit id.
-    orbit_of: Vec<Option<u32>>,
-    /// Orbit id → member columns.
-    orbits: Vec<Vec<usize>>,
 }
 
 impl NodeStructure {
@@ -351,28 +347,7 @@ impl NodeStructure {
             let side = if imp.value { &mut up } else { &mut down };
             side[imp.col].push((imp.target, imp.target_value));
         }
-        // Orbits touching a root-fixed column are dropped: those fixings
-        // live in the LP bounds, invisible to the `node.bounds` no-touch
-        // check that orbital fixing's soundness argument relies on.
-        let mut orbit_of = vec![None; n];
-        let mut orbits = Vec::new();
-        for o in &sa.orbits {
-            if o.members.iter().any(|&m| !is_free(m)) {
-                continue;
-            }
-            let id = orbits.len() as u32;
-            for &m in &o.members {
-                orbit_of[m] = Some(id);
-            }
-            orbits.push(o.members.clone());
-        }
-        NodeStructure {
-            binary,
-            down,
-            up,
-            orbit_of,
-            orbits,
-        }
+        NodeStructure { binary, down, up }
     }
 }
 
@@ -381,8 +356,8 @@ struct Ctx<'a> {
     lp: &'a LpProblem,
     rmodel: &'a Model,
     int_cols: &'a [usize],
-    /// Conflict-graph/orbit data for child strengthening (`None` when
-    /// the structural analysis is disabled).
+    /// Conflict-graph data for child strengthening (`None` when the
+    /// structural analysis is disabled).
     ns: Option<&'a NodeStructure>,
     /// When the solve started (timestamps the convergence timeline).
     start: Instant,
@@ -400,7 +375,6 @@ struct Ctx<'a> {
     warm_attempts: &'a AtomicUsize,
     warm_hits: &'a AtomicUsize,
     implication_fixings: &'a AtomicUsize,
-    orbital_fixings: &'a AtomicUsize,
     /// Set when the root LP solved to optimality but no warm basis could
     /// be snapshotted (a phase-1 artificial stuck in the basis) — the one
     /// condition that silently disables warm starts for the whole tree.
@@ -869,31 +843,11 @@ fn process_node(
     };
     let mut down_bounds = node.bounds.clone();
     let mut up_bounds = node.bounds.clone();
-    // Conflict-graph and orbital strengthening for binary branches. Both
-    // are pure functions of the node's own contents, so the determinism
-    // contract survives: every thread count builds identical children.
+    // Conflict-graph strengthening for binary branches. It is a pure
+    // function of the node's own contents, so the determinism contract
+    // survives: every thread count builds identical children.
     if let Some(ns) = ctx.ns {
         if ns.binary[j] && v > 0.0 && v < 1.0 {
-            // Orbital fixing: when no orbit member carries a path bound
-            // yet, the down child may fix the whole orbit to 0 — any
-            // solution with another member at 1 has a symmetric image
-            // (swap the members) in the up child, so nothing is lost.
-            if let Some(oid) = ns.orbit_of[j] {
-                let untouched = node
-                    .bounds
-                    .iter()
-                    .all(|&(c, _, _)| ns.orbit_of[c] != Some(oid));
-                if untouched {
-                    let mut fixed = 0usize;
-                    for &m in &ns.orbits[oid as usize] {
-                        if m != j {
-                            down_bounds.push((m, f64::NEG_INFINITY, 0.0));
-                            fixed += 1;
-                        }
-                    }
-                    ctx.orbital_fixings.fetch_add(fixed, AtomicOrd::Relaxed);
-                }
-            }
             // Probing implications: branching down means x_j = 0, so the
             // `x_j = 0 ⇒ …` consequents hold in the whole subtree (and
             // symmetrically for the up child).
@@ -1204,11 +1158,11 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
     }
     let offset = red.obj_offset;
 
-    // Structural analysis (probing / conflict graph / symmetry) and the
-    // root cutting-plane loop, both on the reduced model. Everything here
+    // Structural analysis (probing / conflict graph) and the root
+    // cutting-plane loop, both on the reduced model. Everything here
     // runs before the workers spawn, so it is identical for every `jobs`
     // value and the determinism contract is untouched.
-    let run_analysis = opts.probing || opts.cuts || opts.symmetry || opts.gomory_cuts;
+    let run_analysis = opts.probing || opts.cuts || opts.gomory_cuts;
     let mut root_lp_iters = 0usize;
     let (rmodel_owned, sa) = if run_analysis {
         let analysis_span = obs::span("structural-analysis");
@@ -1217,8 +1171,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
             &analysis::AnalysisConfig {
                 probing: opts.probing,
                 cliques: opts.cuts,
-                symmetry: opts.symmetry,
-                ..analysis::AnalysisConfig::default()
             },
         );
         drop(analysis_span);
@@ -1226,7 +1178,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         stats.probe_fixings = sa.fixings.len();
         stats.probe_implications = sa.implications.len();
         stats.clique_table = sa.cliques.len();
-        stats.symmetry_orbits = sa.orbits.len();
         if sa.infeasible.is_some() {
             // Probing preserves the MIP-feasible set; same seed logic as
             // the presolve infeasibility path above.
@@ -1258,7 +1209,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
                 0
             },
             gomory: opts.gomory_cuts,
-            ..analysis::CutLoopConfig::default()
         };
         // The cut loop re-solves the root LP every round; on big models
         // that can eat the whole budget before a single node is explored
@@ -1284,7 +1234,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
                     ("fixings", sa.fixings.len().into()),
                     ("implications", sa.implications.len().into()),
                     ("cliques", sa.cliques.len().into()),
-                    ("orbits", sa.orbits.len().into()),
                     ("clique_cuts", out.stats.clique_cuts.into()),
                     ("cover_cuts", out.stats.cover_cuts.into()),
                     ("implication_cuts", out.stats.implication_cuts.into()),
@@ -1321,7 +1270,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         warm_attempts: &AtomicUsize::new(0),
         warm_hits: &AtomicUsize::new(0),
         implication_fixings: &AtomicUsize::new(0),
-        orbital_fixings: &AtomicUsize::new(0),
         root_unsnapshottable: &AtomicBool::new(false),
         root_bound_bits: &AtomicU64::new(u64::MAX),
     };
@@ -1378,7 +1326,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
     stats.warm_attempts = ctx.warm_attempts.load(AtomicOrd::Relaxed);
     stats.warm_hits = ctx.warm_hits.load(AtomicOrd::Relaxed);
     stats.implication_fixings = ctx.implication_fixings.load(AtomicOrd::Relaxed);
-    stats.orbital_fixings = ctx.orbital_fixings.load(AtomicOrd::Relaxed);
     stats.nodes_per_worker = std::mem::take(&mut g.per_worker_nodes);
     // A zero warm-attempt count is either expected (disabled, or the tree
     // had nothing to warm-start) or a silent loss (root basis declined to

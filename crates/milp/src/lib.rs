@@ -147,10 +147,6 @@ pub struct SolverOptions {
     /// cover cuts against the root LP relaxation, with activity-based
     /// aging of the cut pool.
     pub cuts: bool,
-    /// Detect interchangeable binary columns (hash-based partition
-    /// refinement plus explicit automorphism witnesses) and apply orbital
-    /// fixing during branch and bound.
-    pub symmetry: bool,
     /// Separate rank-1 Gomory mixed-integer cuts from the root simplex
     /// tableau inside the cutting-plane loop. Off by default: tableau
     /// cuts are admitted under strict numerical-safety caps and each one
@@ -173,7 +169,6 @@ impl Default for SolverOptions {
             warm_start: true,
             probing: true,
             cuts: true,
-            symmetry: true,
             gomory_cuts: false,
         }
     }
@@ -265,9 +260,11 @@ pub struct SolverStats {
     pub cut_rounds: usize,
     /// Cuts dropped from the pool by activity-based aging.
     pub cuts_aged_out: usize,
-    /// Verified symmetry orbits over binary columns.
+    /// Always 0: the solver detects no symmetry. Kept for benchmark
+    /// readers that report it.
     pub symmetry_orbits: usize,
-    /// Variables fixed at tree nodes by orbital fixing.
+    /// Always 0: the solver does no orbital fixing. Kept for benchmark
+    /// readers that report it.
     pub orbital_fixings: usize,
     /// Variables fixed at tree nodes by conflict-graph implication
     /// propagation.
@@ -680,7 +677,6 @@ mod tests {
         let opts = SolverOptions {
             probing: false,
             cuts: false,
-            symmetry: false,
             ..SolverOptions::default()
         };
         let r = m.solve(&opts).expect("solves");

@@ -23,14 +23,12 @@
 //! is not an edit, so a caller replaying an unchanged query gets the
 //! cached proof.
 //!
-//! Context solves run **full-featured** (presolve, probing, cuts, Gomory
-//! separation all on — they dominate solve time); only symmetry-orbit
-//! fixing is forced off, because orbital incumbent steering makes
-//! tied-optimum selection depend on the seed. The determinism contract
-//! is inherited from the solver: a context solve returns the status and
-//! objective of a from-scratch solve of the edited model with the same
-//! (reduced) options, which [`ResolveContext::audit`] re-checks on
-//! demand.
+//! Context solves run the caller's options as given: a context solve,
+//! its audit and a plain [`Model::solve`] all run the same solver. The
+//! determinism contract is inherited from the solver: a context solve
+//! returns the status and objective of a from-scratch solve of the
+//! edited model with the same options, which [`ResolveContext::audit`]
+//! re-checks on demand.
 
 use pipemap_obs as obs;
 
@@ -231,19 +229,6 @@ impl ResolveContext {
 
     // --- solving ---------------------------------------------------------
 
-    /// The option set context solves (and the audit's cold comparator)
-    /// run under: everything exactness-preserving stays ON — presolve,
-    /// probing, and the cut loops dominate solve time on the paper's
-    /// scheduling MILPs. Only orbital fixing is forced off: it can steer
-    /// tied optima differently depending on the seeded incumbent, making
-    /// incremental-vs-cold value comparisons needlessly noisy.
-    fn reduced_opts(opts: &SolverOptions) -> SolverOptions {
-        SolverOptions {
-            symmetry: false,
-            ..opts.clone()
-        }
-    }
-
     /// Solve the current model: return the cached result when it still
     /// answers the query, else solve with the prior assignment as the
     /// starting incumbent (see the module docs).
@@ -274,7 +259,7 @@ impl ResolveContext {
             return Ok(s.result.clone());
         }
 
-        let mut ropts = Self::reduced_opts(opts);
+        let mut ropts = opts.clone();
         if ropts.initial_solution.is_none() {
             match self.saved.as_ref().map(|s| &s.result) {
                 Some(r) if r.status.has_solution() => {
@@ -317,7 +302,7 @@ impl ResolveContext {
     }
 
     /// Re-check the last incremental result against a from-scratch solve
-    /// of the identical model and (reduced) options. Expensive — this is
+    /// of the identical model and options. Expensive — this is
     /// the verification path, not the fast path.
     ///
     /// # Errors
@@ -333,7 +318,7 @@ impl ResolveContext {
             .as_ref()
             .expect("audit requires a completed solve")
             .result;
-        let cold = self.model.solve(&Self::reduced_opts(opts))?;
+        let cold = self.model.solve(opts)?;
         let objs_eq = (last.objective - cold.objective).abs() <= 1e-6
             || (!last.objective.is_finite()
                 && !cold.objective.is_finite()
@@ -392,6 +377,42 @@ mod tests {
         w.add_term(1.0, c);
         m.add_constraint(w, Sense::Le, 3.0);
         m
+    }
+
+    /// Duplicated items make interchangeable columns, and the fractional
+    /// root needs a search tree.
+    fn twin_knapsack() -> Model {
+        let mut m = Model::new("twins");
+        let mut w = LinExpr::new();
+        for (value, weight) in [
+            (10.0, 4.0),
+            (10.0, 4.0),
+            (10.0, 4.0),
+            (7.0, 3.0),
+            (7.0, 3.0),
+        ] {
+            w.add_term(weight, m.add_binary(-value));
+        }
+        m.add_constraint(w, Sense::Le, 10.0);
+        m
+    }
+
+    #[test]
+    fn first_context_solve_equals_a_plain_solve() {
+        let m = twin_knapsack();
+        let opts = SolverOptions::default();
+        let plain = m.solve(&opts).unwrap();
+        let first = ResolveContext::new(m).solve(&opts).unwrap();
+        assert_eq!(first.status, plain.status);
+        assert_eq!(first.objective, plain.objective);
+        assert_eq!(first.values, plain.values);
+        assert_eq!(first.nodes, plain.nodes);
+        assert_eq!(first.lp_iterations, plain.lp_iterations);
+        let (mut a, mut b) = (first.stats, plain.stats);
+        a.convergence.clear();
+        b.convergence.clear();
+        assert_eq!(a, b);
+        assert!(plain.nodes > 1, "the model needs a search tree");
     }
 
     #[test]

@@ -11,7 +11,6 @@ fn opts(presolve: bool, probing: bool) -> SolverOptions {
         presolve,
         probing,
         cuts: probing,
-        symmetry: probing,
         ..SolverOptions::default()
     }
 }

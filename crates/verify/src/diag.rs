@@ -135,8 +135,8 @@ pub enum Code {
     CliqueEdgeUnjustified,
     /// A cover cut's members do not exceed the witness row's capacity.
     CoverNotViolated,
-    /// A symmetry orbit's transposition witness is not an automorphism.
-    SymmetryWitnessInvalid,
+    // P0505 (symmetry-orbit witness) is retired with the solver's
+    // symmetry detection; the number is not reused.
     /// An implication cut does not match its implication's linear
     /// expansion (or the implication itself is unsound).
     ImplicationCutMismatch,
@@ -246,7 +246,6 @@ impl Code {
         Code::ImplicationUnsound,
         Code::CliqueEdgeUnjustified,
         Code::CoverNotViolated,
-        Code::SymmetryWitnessInvalid,
         Code::ImplicationCutMismatch,
         Code::CutPruneUncertified,
         Code::CutDominanceInvalid,
@@ -311,7 +310,6 @@ impl Code {
             Code::ImplicationUnsound => "P0502",
             Code::CliqueEdgeUnjustified => "P0503",
             Code::CoverNotViolated => "P0504",
-            Code::SymmetryWitnessInvalid => "P0505",
             Code::ImplicationCutMismatch => "P0506",
             Code::CutPruneUncertified => "P0601",
             Code::CutDominanceInvalid => "P0602",
@@ -391,7 +389,6 @@ impl Code {
             Code::ImplicationUnsound => "implication chain does not pin its target",
             Code::CliqueEdgeUnjustified => "clique edge witness proves no conflict",
             Code::CoverNotViolated => "cover members do not exceed row capacity",
-            Code::SymmetryWitnessInvalid => "transposition witness is not an automorphism",
             Code::ImplicationCutMismatch => "implication cut does not match its certificate",
             Code::CutPruneUncertified => "pruned cut has no certificate or ranked-out record",
             Code::CutDominanceInvalid => "dominance certificate fails re-derivation",

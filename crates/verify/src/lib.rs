@@ -30,9 +30,8 @@
 //!   and rewritten graphs replayed against their originals,
 //! * [`check_milp_analysis`] / [`check_certified_cuts`] — MILP
 //!   structural-analysis audit (`P05xx`): every probing fixing and
-//!   implication chain replayed from pristine bounds, every clique edge
-//!   and cover cut re-checked against its witness row, and every symmetry
-//!   orbit's transposition witnesses re-applied to the full model,
+//!   implication chain replayed from pristine bounds, and every clique
+//!   edge and cover cut re-checked against its witness row,
 //! * [`check_priority_cuts`] — priority-cut pruning audit (`P06xx`):
 //!   every dominance/liveness certificate re-derived from the graph, an
 //!   independent cover-feasibility recount, and an objective-invariance

@@ -3,17 +3,15 @@
 //! `pipemap-milp`'s static analysis ships every conclusion with a
 //! certificate: fixings and implications carry replayable propagation
 //! chains, clique edges carry a witness row or implication, cover cuts
-//! name their witness row and members, and symmetry orbits carry explicit
-//! column-transposition witnesses. This pass re-derives all of them
+//! name their witness row and members. This pass re-derives all of them
 //! **independently** — using only the model's public accessors, never the
 //! solver's own propagation code — so a bug in the analysis cannot
 //! silently vouch for itself.
 //!
 //! * [`check_milp_analysis`] audits a [`StructuralAnalysis`]: every
 //!   fixing/implication chain is replayed step by step from the model's
-//!   pristine bounds (`P0501`, `P0502`), every clique edge witness is
-//!   re-checked (`P0503`), and every orbit's transpositions are re-applied
-//!   to the full model (`P0505`).
+//!   pristine bounds (`P0501`, `P0502`) and every clique edge witness is
+//!   re-checked (`P0503`).
 //! * [`check_certified_cuts`] audits a cut pool: clique cuts must match
 //!   their embedded (re-verified) clique inequality, cover cuts must
 //!   genuinely exceed their witness row's capacity (`P0504`),
@@ -26,10 +24,10 @@
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use pipemap_milp::analysis::{
     implication_expression, CertifiedCut, Clique, Conflict, CutProof, EdgeWitness, GomoryShift,
-    Implication, ProbeChain, StructuralAnalysis, Transposition,
+    Implication, ProbeChain, StructuralAnalysis,
 };
 use pipemap_milp::{Model, RowId, Sense, VarId, VarKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Slack allowed when comparing a claimed bound against the re-derived
 /// implied bound (matches the solver's recording tolerance).
@@ -322,93 +320,6 @@ fn clique_failures(model: &Model, analysis: &StructuralAnalysis, cl: &Clique) ->
     errs
 }
 
-/// Row content as comparable data: `(sense, rhs bits, sorted coeffs)`
-/// with an optional `i ↔ j` column relabeling applied first.
-fn row_content(
-    model: &Model,
-    ri: usize,
-    swap: Option<(usize, usize)>,
-) -> (u8, u64, Vec<(usize, u64)>) {
-    let rid = RowId::from_index(ri);
-    let mut coeffs: Vec<(usize, u64)> = model
-        .row_coeffs(rid)
-        .iter()
-        .map(|&(v, a)| {
-            let mut j = v.index();
-            if let Some((x, y)) = swap {
-                if j == x {
-                    j = y;
-                } else if j == y {
-                    j = x;
-                }
-            }
-            (j, a.to_bits())
-        })
-        .collect();
-    coeffs.sort_unstable();
-    (
-        model.row_sense(rid) as u8,
-        model.row_rhs(rid).to_bits(),
-        coeffs,
-    )
-}
-
-/// Check one transposition witness: swapping the two columns and applying
-/// the row permutation must map the model onto itself exactly.
-fn transposition_valid(model: &Model, t: &Transposition) -> Result<(), String> {
-    let (i, j) = t.cols;
-    let n = model.num_vars();
-    if i >= n || j >= n || i == j {
-        return Err(format!("columns x{i}, x{j} invalid"));
-    }
-    let (vi, vj) = (VarId::from_index(i), VarId::from_index(j));
-    if model.bounds(vi) != model.bounds(vj)
-        || model.objective_coeff(vi) != model.objective_coeff(vj)
-        || model.var_kind(vi) != model.var_kind(vj)
-    {
-        return Err(format!(
-            "columns x{i}, x{j} differ in bounds/objective/kind"
-        ));
-    }
-
-    // Rows touching either column must be permuted; everything else must
-    // be fixed — so the map's domain and range must both equal that set.
-    let mut touched: BTreeSet<usize> = BTreeSet::new();
-    for ri in 0..model.num_rows() {
-        if model
-            .row_coeffs(RowId::from_index(ri))
-            .iter()
-            .any(|&(v, _)| v.index() == i || v.index() == j)
-        {
-            touched.insert(ri);
-        }
-    }
-    let froms: BTreeSet<usize> = t.row_map.iter().map(|&(f, _)| f).collect();
-    let tos: BTreeSet<usize> = t.row_map.iter().map(|&(_, d)| d).collect();
-    if froms.len() != t.row_map.len() || tos.len() != t.row_map.len() {
-        return Err("row map is not a bijection".to_string());
-    }
-    if !touched.iter().all(|r| froms.contains(r)) || !froms.iter().all(|r| touched.contains(r)) {
-        return Err("row map domain differs from the touched-row set".to_string());
-    }
-    if froms != tos {
-        return Err("row map range differs from its domain".to_string());
-    }
-    for &(from, to) in &t.row_map {
-        if from >= model.num_rows() || to >= model.num_rows() {
-            return Err(format!("row map entry r{from} → r{to} out of range"));
-        }
-        if row_content(model, from, Some((i, j))) != row_content(model, to, None) {
-            return Err(format!(
-                "row r{from} relabeled by x{i} ↔ x{j} does not equal row r{to}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Audit every certificate of a [`StructuralAnalysis`] against its model.
-///
 /// Independently re-derive one implication: its chain must probe the
 /// antecedent, both endpoints must be binary columns, and replaying the
 /// chain from pristine bounds must pin the target to the claimed value.
@@ -433,10 +344,9 @@ fn implication_sound(model: &Model, imp: &Implication) -> Result<(), String> {
 }
 
 /// Emits `P0501` (fixing or infeasibility chain fails replay), `P0502`
-/// (implication chain unsound), `P0503` (clique edge unjustified), and
-/// `P0505` (automorphism witness invalid). An empty, error-free result
-/// means every fixing, implication, clique, and orbit was independently
-/// re-derived.
+/// (implication chain unsound), and `P0503` (clique edge unjustified).
+/// An empty, error-free result means every fixing, implication, and
+/// clique was independently re-derived.
 pub fn check_milp_analysis(model: &Model, analysis: &StructuralAnalysis) -> Diagnostics {
     let mut diags = Diagnostics::new();
 
@@ -498,52 +408,6 @@ pub fn check_milp_analysis(model: &Model, analysis: &StructuralAnalysis) -> Diag
                 Code::CliqueEdgeUnjustified,
                 format!("clique #{ci}: {why}"),
             ));
-        }
-    }
-
-    for (oi, orbit) in analysis.orbits.iter().enumerate() {
-        let mut fail = |why: String| {
-            diags.push(Diagnostic::new(
-                Code::SymmetryWitnessInvalid,
-                format!("orbit #{oi}: {why}"),
-            ));
-        };
-        if orbit.members.len() < 2 {
-            fail("orbit has fewer than two members".to_string());
-            continue;
-        }
-        // Union-find over members: the witness pairs must connect them all.
-        let mut parent: BTreeMap<usize, usize> = orbit.members.iter().map(|&m| (m, m)).collect();
-        fn find(parent: &mut BTreeMap<usize, usize>, mut x: usize) -> usize {
-            while parent[&x] != x {
-                let up = parent[&parent[&x]];
-                parent.insert(x, up);
-                x = up;
-            }
-            x
-        }
-        let mut ok = true;
-        for (wi, t) in orbit.witnesses.iter().enumerate() {
-            let (a, b) = t.cols;
-            if !parent.contains_key(&a) || !parent.contains_key(&b) {
-                fail(format!("witness #{wi} swaps columns outside the orbit"));
-                ok = false;
-                continue;
-            }
-            if let Err(e) = transposition_valid(model, t) {
-                fail(format!("witness #{wi} (x{a} ↔ x{b}): {e}"));
-                ok = false;
-                continue;
-            }
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            parent.insert(ra, rb);
-        }
-        if ok {
-            let root = find(&mut parent, orbit.members[0]);
-            let members = orbit.members.clone();
-            if members.iter().any(|&m| find(&mut parent, m) != root) {
-                fail("witness pairs do not connect all members".to_string());
-            }
         }
     }
 
@@ -972,7 +836,7 @@ pub fn check_certified_cuts(
 mod tests {
     use super::*;
     use pipemap_milp::analysis::{
-        analyze, root_cut_loop, AnalysisConfig, CutLoopConfig, Fixing, Implication, Orbit, PropStep,
+        analyze, root_cut_loop, AnalysisConfig, CutLoopConfig, Fixing, Implication, PropStep,
     };
     use pipemap_milp::LinExpr;
 
@@ -1282,28 +1146,5 @@ mod tests {
         let diags = check_certified_cuts(&m, &sa, &cuts);
         assert!(diags.has_code(Code::GomoryIntegralityUnproven));
         let _ = x;
-    }
-
-    #[test]
-    fn genuine_orbit_verifies_and_tampered_fires_p0505() {
-        let m = packing_model();
-        let sa = analyze(&m, &AnalysisConfig::default());
-        assert!(
-            sa.orbits.iter().any(|o| o.members.contains(&0)),
-            "x0/x1 should form an orbit"
-        );
-        assert!(check_milp_analysis(&m, &sa).is_empty());
-
-        // x0 and x3 are not interchangeable: x3's rows differ.
-        let mut sa2 = sa.clone();
-        sa2.orbits.push(Orbit {
-            members: vec![0, 3],
-            witnesses: vec![Transposition {
-                cols: (0, 3),
-                row_map: vec![(0, 0), (1, 1)],
-            }],
-        });
-        let diags = check_milp_analysis(&m, &sa2);
-        assert!(diags.has_code(Code::SymmetryWitnessInvalid));
     }
 }

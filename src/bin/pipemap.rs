@@ -24,10 +24,9 @@
 //! available cores. The solver is deterministic in `--jobs`: every
 //! thread count returns the identical status, objective, and schedule.
 //!
-//! `--probing on|off`, `--cuts on|off`, and `--symmetry on|off` toggle
-//! the solver's structural analysis (all on by default): probing-based
-//! fixings/implications, root clique/cover cut separation, and orbital
-//! fixing from verified column symmetries.
+//! `--probing on|off` and `--cuts on|off` toggle the solver's structural
+//! analysis (both on by default): probing-based fixings/implications and
+//! root clique/cover cut separation.
 //!
 //! `--gomory-cuts on|off` (off by default) adds Gomory mixed-integer
 //! cuts read off the optimal simplex tableau to the root cut loop; each
@@ -115,7 +114,6 @@ struct Args {
     report_out: Option<String>,
     probing: bool,
     cuts: bool,
-    symmetry: bool,
     gomory_cuts: bool,
     decompose: bool,
     priority_cuts: bool,
@@ -163,7 +161,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         report_out: None,
         probing: true,
         cuts: true,
-        symmetry: true,
         gomory_cuts: false,
         decompose: false,
         priority_cuts: false,
@@ -232,7 +229,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--probing" => a.probing = parse_switch("--probing", argv.next())?,
             "--cuts" => a.cuts = parse_switch("--cuts", argv.next())?,
-            "--symmetry" => a.symmetry = parse_switch("--symmetry", argv.next())?,
             "--gomory-cuts" => a.gomory_cuts = parse_switch("--gomory-cuts", argv.next())?,
             "--decompose" => a.decompose = parse_switch("--decompose", argv.next())?,
             "--priority-cuts" => a.priority_cuts = parse_switch("--priority-cuts", argv.next())?,
@@ -277,7 +273,6 @@ fn options(a: &Args) -> FlowOptions {
         jobs: a.jobs,
         probing: a.probing,
         cuts: a.cuts,
-        symmetry: a.symmetry,
         gomory_cuts: a.gomory_cuts,
         decompose: a.decompose,
         priority_cuts: a.priority_cuts,
@@ -441,7 +436,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                 println!(
                     "        analysis: {} probed -> {} fixing(s), {} implication(s) \
                      | {} clique(s) -> {} clique + {} cover + {} implication cut(s) in {} round(s), {} aged out \
-                     | {} orbit(s) -> {} orbital + {} implied fixing(s) in tree",
+                     | {} implied fixing(s) in tree",
                     s.solver.probe_vars,
                     s.solver.probe_fixings,
                     s.solver.probe_implications,
@@ -451,8 +446,6 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                     s.solver.implication_cuts,
                     s.solver.cut_rounds,
                     s.solver.cuts_aged_out,
-                    s.solver.symmetry_orbits,
-                    s.solver.orbital_fixings,
                     s.solver.implication_fixings
                 );
                 if s.solver.gomory_cuts > 0 || s.subproblems_solved > 0 {

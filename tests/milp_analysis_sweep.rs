@@ -1,5 +1,5 @@
 //! 200-seed random-model soundness sweep over the MILP structural
-//! analysis: every certified fixing, implication, clique, orbit, and cut
+//! analysis: every certified fixing, implication, clique, and cut
 //! the analysis emits is re-verified by the independent `P05xx` audit in
 //! `pipemap-verify`, and the solver's optimum is identical with the
 //! analysis on and off. This is the machine-checkable end of the
@@ -29,7 +29,7 @@ impl Rng {
 
 /// A small random MILP over binaries (with an occasional general integer
 /// or fixed column) and packing/covering/equality rows — the row shapes
-/// the probing, clique, cover, and symmetry machinery all react to.
+/// the probing, clique, and cover machinery all react to.
 fn random_model(seed: u64) -> Model {
     let mut rng = Rng::new(seed);
     let n_bin = rng.range(2, 9) as usize;
@@ -93,7 +93,7 @@ fn two_hundred_seeds_certificates_audit_clean_and_optimum_invariant() {
                 "seed {seed}: cut audit found violations:\n{}",
                 diags.render_human(m.name())
             );
-            if !sa.fixings.is_empty() || !out.cuts.is_empty() || !sa.orbits.is_empty() {
+            if !sa.fixings.is_empty() || !out.cuts.is_empty() {
                 nontrivial += 1;
             }
         } else {
@@ -108,7 +108,6 @@ fn two_hundred_seeds_certificates_audit_clean_and_optimum_invariant() {
             .solve(&SolverOptions {
                 probing: false,
                 cuts: false,
-                symmetry: false,
                 ..SolverOptions::default()
             })
             .expect("solve without analysis");
@@ -130,6 +129,6 @@ fn two_hundred_seeds_certificates_audit_clean_and_optimum_invariant() {
     // on models where the analysis finds nothing.
     assert!(
         nontrivial >= 40,
-        "only {nontrivial}/200 seeds produced fixings, cuts, orbits, or proofs"
+        "only {nontrivial}/200 seeds produced fixings, cuts, or proofs"
     );
 }

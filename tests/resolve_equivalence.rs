@@ -7,9 +7,8 @@
 //! incremental path may legitimately return a different member of a
 //! tied optimal set than the cold solver (each context solve starts
 //! from the previous assignment, which can win a tie the cold search
-//! settles differently, and contexts run without orbital fixing), so
-//! assignments are compared up to re-verified feasibility at the same
-//! objective, not bit for bit.
+//! settles differently), so assignments are compared up to re-verified
+//! feasibility at the same objective, not bit for bit.
 //!
 //! A final DFG-level case runs the design-space sweep incrementally and
 //! cold over a random graph and requires pointwise agreement — the same
