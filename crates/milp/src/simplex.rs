@@ -18,33 +18,66 @@
 //! stalled dual loop, near-zero pivot disagreement — returns
 //! [`LpAbort::Singular`], which callers treat as "fall back to a cold
 //! primal solve"; correctness never depends on the warm path.
+//!
+//! **Pricing from the nonzeros** (Hall & McKinnon, "Hyper-sparsity in the
+//! revised simplex method", 2005). [`LpProblem`] keeps a row-major copy
+//! of A, so a pivot row `α = ρᵀ[A | I]` and the reduced costs
+//! `d = c − yᵀ[A | I]` are accumulated row by row over the nonzeros of ρ
+//! or y. Each column's sum adds the same products in the same (ascending
+//! row) order as a column dot product, so every nonzero is bit-identical
+//! to it. The dual loop carries d between pivots through the pivot row it
+//! already has (Koberstein, PhD thesis, Paderborn 2005) and recomputes y
+//! and d only after a refactorization; the primal loop prices on fresh
+//! duals every iteration.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::lu::Factors;
 use crate::model::{Model, Sense};
 use pipemap_obs::metrics;
 
-/// Start a per-solve timer only when the metrics registry is live, and
-/// record the LP's iteration count, wall time, LU factorizations and
-/// adopted sibling factors on completion. Telemetry is read-only: nothing
-/// here feeds back into pivoting.
+/// Start a per-solve timer only when the metrics registry is live.
+/// Telemetry is read-only: nothing here feeds back into pivoting.
 fn lp_metrics_start() -> Option<Instant> {
     metrics::enabled().then(Instant::now)
 }
 
-fn lp_metrics_record(t0: Option<Instant>, iters: usize, lu: FactorTally, warm: bool) {
+/// How an LP solve ended, for its `lp.*` metrics.
+#[derive(Debug, Clone, Copy)]
+enum LpEnd {
+    /// A status was reached after `iters` simplex iterations.
+    Completed { iters: usize, warm: bool },
+    /// A warm start was refused; the caller falls back to a cold solve.
+    WarmRejected,
+    /// Deadline or numerical failure.
+    Aborted,
+}
+
+/// Record an LP solve's LU factorizations, their wall time and the
+/// sibling factors it adopted on every exit. A completed solve also
+/// records its iteration count, its wall time and whether it was warm,
+/// once per LP; a refused warm start counts in `lp.warm_rejects`.
+fn lp_metrics_record(t0: Option<Instant>, lu: FactorTally, end: LpEnd) {
     let Some(t0) = t0 else { return };
-    metrics::histogram("lp.solve_us").record(t0.elapsed().as_micros() as f64);
-    metrics::histogram("lp.iters").record(iters as f64);
     metrics::counter("lp.factorizations").add(lu.count as u64);
     metrics::counter("lp.factor_reuses").add(lu.reuses as u64);
     metrics::histogram("lp.factor_us").record(lu.time.as_micros() as f64);
-    if warm {
-        metrics::counter("lp.warm_solves").inc();
-    } else {
-        metrics::counter("lp.cold_solves").inc();
+    match end {
+        LpEnd::Completed { iters, warm } => {
+            metrics::histogram("lp.solve_us").record(t0.elapsed().as_micros() as f64);
+            metrics::histogram("lp.iters").record(iters as f64);
+            let kind = if warm {
+                "lp.warm_solves"
+            } else {
+                "lp.cold_solves"
+            };
+            metrics::counter(kind).inc();
+        }
+        LpEnd::WarmRejected => metrics::counter("lp.warm_rejects").inc(),
+        LpEnd::Aborted => {}
     }
 }
 
@@ -60,6 +93,9 @@ const MAX_ITERS: usize = 200_000;
 /// Dual-loop caps; hitting either rejects to a cold solve.
 const DUAL_MAX_ITERS: usize = 50_000;
 const DUAL_STALL_LIMIT: usize = 512;
+/// Largest relative drift of a carried reduced cost from a fresh one
+/// (checked in debug builds at every resync of the dual loop).
+const CARRY_TOL: f64 = 1e-6;
 
 /// Why an LP solve stopped without a status.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,6 +142,24 @@ pub(crate) struct LpProblem {
     /// Phase-2 objective for structural + slack columns.
     pub obj: Vec<f64>,
     pub rhs: Vec<f64>,
+    /// The structural entries of `cols` again, row by row.
+    rows: RowMajor,
+}
+
+/// The structural part of A stored by rows, packed: row `i` holds the
+/// `(column, coeff)` entries `col/val[start[i]..start[i + 1]]` in the
+/// model row's term order, which is the order `cols` received them.
+#[derive(Debug, Clone, Default)]
+struct RowMajor {
+    start: Vec<usize>,
+    col: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl RowMajor {
+    fn range(&self, i: usize) -> Range<usize> {
+        self.start[i]..self.start[i + 1]
+    }
 }
 
 impl LpProblem {
@@ -115,6 +169,8 @@ impl LpProblem {
         let m = model.rows.len();
         let n = model.cols.len();
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n + m];
+        let mut rows = RowMajor::default();
+        rows.start.push(0);
         let mut rhs = Vec::with_capacity(m);
         let mut lb: Vec<f64> = model.cols.iter().map(|c| c.lb).collect();
         let mut ub: Vec<f64> = model.cols.iter().map(|c| c.ub).collect();
@@ -122,7 +178,10 @@ impl LpProblem {
         for (i, row) in model.rows.iter().enumerate() {
             for &(v, c) in &row.coeffs {
                 cols[v.index()].push((i, c));
+                rows.col.push(v.index() as u32);
+                rows.val.push(c);
             }
+            rows.start.push(rows.col.len());
             cols[n + i].push((i, 1.0));
             rhs.push(row.rhs);
             let (slb, sub) = match row.sense {
@@ -142,6 +201,7 @@ impl LpProblem {
             ub,
             obj,
             rhs,
+            rows,
         }
     }
 
@@ -216,26 +276,48 @@ impl LpProblem {
         deadline: Option<Instant>,
     ) -> Result<(LpSolution, Option<WarmBasis>), LpAbort> {
         let t0 = lp_metrics_start();
-        let mut w = Worker::from_basis(self, lb, ub, warm, fresh)?;
-        let mut y = Vec::new();
-        if !w.dual_feasible(1e-6, &mut y) {
+        let Some(mut w) = Worker::from_basis(self, lb, ub, warm) else {
+            lp_metrics_record(t0, FactorTally::default(), LpEnd::WarmRejected);
             return Err(LpAbort::Singular);
-        }
-        let sol = w.run_dual(deadline, y)?;
-        let snap = if sol.status == LpStatus::Optimal {
-            w.snapshot()
-        } else {
-            None
         };
-        lp_metrics_record(t0, sol.iters, w.lu, true);
-        Ok((sol, snap))
+        let res = w.factor_warm(fresh).and_then(|()| {
+            if w.dual_feasible(1e-6) {
+                w.run_dual(deadline)
+            } else {
+                Err(LpAbort::Singular)
+            }
+        });
+        match res {
+            Ok(sol) => {
+                let snap = if sol.status == LpStatus::Optimal {
+                    w.snapshot()
+                } else {
+                    None
+                };
+                let end = LpEnd::Completed {
+                    iters: sol.iters,
+                    warm: true,
+                };
+                lp_metrics_record(t0, w.lu, end);
+                Ok((sol, snap))
+            }
+            Err(e) => {
+                let end = if e == LpAbort::Timeout {
+                    LpEnd::Aborted
+                } else {
+                    LpEnd::WarmRejected
+                };
+                lp_metrics_record(t0, w.lu, end);
+                Err(e)
+            }
+        }
     }
 
     /// The one cold two-phase primal solve: a singular basis restarts from
     /// scratch with diversified pricing (perturbed first, Bland's rule
     /// last) up to five times. On optimality `extract` reads what the
-    /// caller needs from the final worker. Every completed solve records
-    /// its `lp.*` metrics, retries included.
+    /// caller needs from the final worker. Every exit records its `lp.*`
+    /// metrics, retries included.
     fn solve_cold<T>(
         &self,
         lb: &[f64],
@@ -258,12 +340,21 @@ impl LpProblem {
                         None
                     };
                     lu.add(w.lu);
-                    lp_metrics_record(t0, sol.iters, lu, false);
+                    let end = LpEnd::Completed {
+                        iters: sol.iters,
+                        warm: false,
+                    };
+                    lp_metrics_record(t0, lu, end);
                     return Ok((sol, extra));
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    lu.add(w.lu);
+                    lp_metrics_record(t0, lu, LpEnd::Aborted);
+                    return Err(e);
+                }
             }
         }
+        lp_metrics_record(t0, lu, LpEnd::Aborted);
         Err(LpAbort::Numerical("repeated singular bases".into()))
     }
 }
@@ -338,6 +429,108 @@ struct Worker<'a> {
     /// restarts follow different pivot paths.
     price_seed: u64,
     in_phase1: bool,
+    /// Pricing buffers, borrowed from this thread for the worker's life.
+    price: PriceScratch,
+}
+
+/// Scratch of the row-wise pricing kernels. One per thread, lent to one
+/// worker at a time and handed back when it drops, so node LPs allocate
+/// no column-length vectors once the buffers have grown.
+#[derive(Debug, Default)]
+struct PriceScratch {
+    /// Per column, the row-wise sum of the last [`PriceScratch::scatter`];
+    /// zero on every column outside `touched`.
+    acc: Vec<f64>,
+    /// Bitset over columns: reached by the scatter in progress. All zero
+    /// between scatters.
+    reached: Vec<u64>,
+    /// The columns the last scatter reached, ascending.
+    touched: Vec<u32>,
+    /// Reduced costs, one per column: fresh after
+    /// [`Worker::price_fresh`], carried between pivots in the dual loop.
+    d: Vec<f64>,
+    /// The duals `y = B⁻ᵀ c_B` behind the last fresh `d`, one per row.
+    y: Vec<f64>,
+}
+
+thread_local! {
+    static PRICE_SCRATCH: RefCell<PriceScratch> = RefCell::new(PriceScratch::default());
+}
+
+impl PriceScratch {
+    /// This thread's scratch (an empty one while another worker on the
+    /// thread holds it).
+    fn lend() -> Self {
+        PRICE_SCRATCH.with_borrow_mut(std::mem::take)
+    }
+
+    /// `acc = vᵀ[A | I | artificials]` over the nonzeros of `v` (indexed
+    /// by row), listing every column it reaches in `touched`, ascending
+    /// (the ratio tests' tie windows make the visit order observable).
+    /// Rows are visited in ascending order and each row's entries in
+    /// stored order, so every column's sum adds the same products in the
+    /// same order as [`Worker::dot_col`]: a nonzero sum is bit-identical
+    /// to it, a zero one may differ in sign, and an untouched column's
+    /// sum is the exact zero. The artificial on row `i` reads `v_i` as
+    /// `dot_col` does.
+    fn scatter(&mut self, p: &LpProblem, art_cols: &[(usize, f64)], v: &[f64]) {
+        for &j in &self.touched {
+            self.acc[j as usize] = 0.0;
+        }
+        self.touched.clear();
+        let base = p.n_struct + p.m;
+        let n = base + art_cols.len();
+        if self.acc.len() < n {
+            self.acc.resize(n, 0.0);
+            self.reached.resize(n.div_ceil(64), 0);
+        }
+        for (i, &vi) in v.iter().enumerate() {
+            if vi == 0.0 {
+                continue;
+            }
+            let r = p.rows.range(i);
+            for (&j, &a) in p.rows.col[r.clone()].iter().zip(&p.rows.val[r]) {
+                self.add(j as usize, a * vi);
+            }
+            self.add(p.n_struct + i, 1.0 * vi);
+        }
+        for (a, &(row, _)) in art_cols.iter().enumerate() {
+            if v[row] != 0.0 {
+                self.add(base + a, v[row]);
+            }
+        }
+        for (k, word) in self.reached[..n.div_ceil(64)].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.touched.push((k * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    fn add(&mut self, j: usize, x: f64) {
+        self.acc[j] += x;
+        self.reached[j / 64] |= 1 << (j % 64);
+    }
+
+    /// `d = cost − yᵀ[A | I | artificials]`, with `y` scattered row-wise.
+    fn reduced_costs(&mut self, p: &LpProblem, art_cols: &[(usize, f64)], cost: &[f64], y: &[f64]) {
+        self.scatter(p, art_cols, y);
+        self.d.clear();
+        self.d.extend_from_slice(cost);
+        for &j in &self.touched {
+            let j = j as usize;
+            self.d[j] = cost[j] - self.acc[j];
+        }
+    }
+}
+
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        let price = std::mem::take(&mut self.price);
+        // Nothing to hand back to once the thread is being torn down.
+        let _ = PRICE_SCRATCH.try_with(|s| *s.borrow_mut() = price);
+    }
 }
 
 impl<'a> Worker<'a> {
@@ -371,6 +564,15 @@ impl<'a> Worker<'a> {
         } else {
             y[self.art_cols[j - base].0]
         }
+    }
+
+    /// Fresh duals `y = B⁻ᵀ c_B` and reduced costs into `price`.
+    fn price_fresh(&mut self) {
+        let mut y = std::mem::take(&mut self.price.y);
+        self.duals_into(&mut y);
+        self.price
+            .reduced_costs(self.p, &self.art_cols, &self.cost, &y);
+        self.price.y = y;
     }
 
     /// Dantzig merit with optional deterministic perturbation (restart
@@ -439,6 +641,7 @@ impl<'a> Worker<'a> {
             always_bland: false,
             price_seed: 0,
             in_phase1: false,
+            price: PriceScratch::lend(),
         };
 
         // Initial residual with all structural nonbasic at their bound.
@@ -637,6 +840,7 @@ impl<'a> Worker<'a> {
             rho[pos] = 1.0;
             self.factors.btran(&mut rho);
             self.duals_into(&mut y);
+            self.price.scatter(self.p, &self.art_cols, &rho);
             // Entering column: nonbasic, real, |alpha| above the pivot
             // tolerance. Zero-reduced-cost columns are strongly preferred
             // — entering one leaves the duals (hence every reduced-cost
@@ -644,13 +848,18 @@ impl<'a> Worker<'a> {
             // and the children's warm dual starts accept it. Among
             // equally-preferred candidates the largest |alpha| wins for
             // numerical stability (first/lowest index on ties —
-            // deterministic).
+            // deterministic). Only the columns the pivot row reaches can
+            // pass the tolerance; they come in ascending order.
             let mut pick: Option<(usize, f64, bool)> = None;
-            for j in 0..n {
+            for &j in &self.price.touched {
+                let j = j as usize;
+                if j >= n {
+                    break;
+                }
                 if matches!(self.status[j], VStat::Basic(_)) {
                     continue;
                 }
-                let a = self.dot_col(j, &rho).abs();
+                let a = self.price.acc[j].abs();
                 if a <= PIVOT_TOL {
                     continue;
                 }
@@ -686,7 +895,7 @@ impl<'a> Worker<'a> {
             && clean
             && self.residual_ok(1e-6)
             && self.primal_feasible(1e-6)
-            && self.dual_feasible(1e-6, &mut y))
+            && self.dual_feasible(1e-6))
         {
             // Restore: the original basis factored before, so this
             // refactorization is expected to succeed; if it still fails
@@ -766,34 +975,27 @@ impl<'a> Worker<'a> {
         Some(TableauData { status, rows })
     }
 
-    /// Rebuild a worker from a parent snapshot under (possibly tightened)
-    /// bounds. Validates the snapshot against the problem dimensions and
-    /// normalizes nonbasic statuses whose bound went away; any mismatch is
-    /// `Err(LpAbort::Singular)` (= fall back to a cold solve).
-    ///
-    /// Factoring depends on the basis alone, so factors a sibling computed
-    /// for the same snapshot (`fresh` holding them) are exactly the ones a
-    /// refactorization would give: they are adopted and only x_B is
-    /// recomputed for this worker's bounds. An empty `fresh` receives a
-    /// copy of the factors computed here.
+    /// Rebuild an unfactored worker from a parent snapshot under (possibly
+    /// tightened) bounds. Validates the snapshot against the problem
+    /// dimensions and normalizes nonbasic statuses whose bound went away;
+    /// any mismatch is `None` (= fall back to a cold solve).
     fn from_basis(
         p: &'a LpProblem,
         lb_in: &[f64],
         ub_in: &[f64],
         warm: &WarmBasis,
-        fresh: Option<&mut Option<Factors>>,
-    ) -> Result<Self, LpAbort> {
+    ) -> Option<Self> {
         let m = p.m;
         let n = p.n_struct + m;
         if warm.status.len() != n || warm.basis.len() != m {
-            return Err(LpAbort::Singular);
+            return None;
         }
         let mut status = warm.status.clone();
         for (j, st) in status.iter_mut().enumerate() {
             match *st {
                 VStat::Basic(pos) => {
                     if pos >= m || warm.basis[pos] != j {
-                        return Err(LpAbort::Singular);
+                        return None;
                     }
                 }
                 VStat::AtLower => {
@@ -808,7 +1010,7 @@ impl<'a> Worker<'a> {
                         if lb_in[j].is_finite() {
                             *st = VStat::AtLower;
                         } else {
-                            return Err(LpAbort::Singular);
+                            return None;
                         }
                     }
                 }
@@ -816,7 +1018,7 @@ impl<'a> Worker<'a> {
         }
         for (pos, &j) in warm.basis.iter().enumerate() {
             if j >= n || !matches!(status[j], VStat::Basic(bp) if bp == pos) {
-                return Err(LpAbort::Singular);
+                return None;
             }
         }
         let mut w = Worker {
@@ -836,25 +1038,37 @@ impl<'a> Worker<'a> {
             always_bland: false,
             price_seed: 0,
             in_phase1: false,
+            price: PriceScratch::lend(),
         };
         w.set_phase2_costs();
+        Some(w)
+    }
+
+    /// Factor a worker built by [`Worker::from_basis`] and compute x_B.
+    ///
+    /// Factoring depends on the basis alone, so factors a sibling computed
+    /// for the same snapshot (`fresh` holding them) are exactly the ones a
+    /// refactorization would give: they are adopted and only x_B is
+    /// recomputed for this worker's bounds. An empty `fresh` receives a
+    /// copy of the factors computed here.
+    fn factor_warm(&mut self, fresh: Option<&mut Option<Factors>>) -> Result<(), LpAbort> {
         match fresh {
             Some(slot) => match slot.take() {
                 Some(f) => {
-                    debug_assert_eq!(f.dim(), m);
+                    debug_assert_eq!(f.dim(), self.p.m);
                     debug_assert_eq!(f.eta_count(), 0);
-                    w.factors = f;
-                    w.lu.reuses += 1;
-                    w.recompute_x_basic();
+                    self.factors = f;
+                    self.lu.reuses += 1;
+                    self.recompute_x_basic();
                 }
                 None => {
-                    w.refactor()?;
-                    *slot = Some(w.factors.clone());
+                    self.refactor()?;
+                    *slot = Some(self.factors.clone());
                 }
             },
-            None => w.refactor()?,
+            None => self.refactor()?,
         }
-        Ok(w)
+        Ok(())
     }
 
     /// Is the current basic point inside its bounds?
@@ -905,15 +1119,15 @@ impl<'a> Worker<'a> {
 
     /// Are the phase-2 reduced costs sign-consistent with every nonbasic
     /// status? Warm starts require this before dual pivoting is sound.
-    /// Leaves the duals it checked in `y`.
-    fn dual_feasible(&self, tol: f64, y: &mut Vec<f64>) -> bool {
-        self.duals_into(y);
+    /// Leaves the fresh duals and reduced costs it checked in `price`.
+    fn dual_feasible(&mut self, tol: f64) -> bool {
+        self.price_fresh();
         for j in 0..self.n_total() {
             let st = self.status[j];
             if matches!(st, VStat::Basic(_)) || self.lb[j] == self.ub[j] {
                 continue;
             }
-            let d = self.cost[j] - self.dot_col(j, y);
+            let d = self.price.d[j];
             let free = !self.lb[j].is_finite() && !self.ub[j].is_finite();
             let ok = if free {
                 d.abs() <= tol
@@ -930,10 +1144,11 @@ impl<'a> Worker<'a> {
     }
 
     /// Warm-start driver: dual pivots until primal feasible, then a primal
-    /// cleanup pass to certify optimality. `y` holds the duals of the
-    /// starting basis, as [`Worker::dual_feasible`] left them.
-    fn run_dual(&mut self, deadline: Option<Instant>, y: Vec<f64>) -> Result<LpSolution, LpAbort> {
-        match self.optimize_dual(deadline, y)? {
+    /// cleanup pass on fresh duals to certify optimality. `price` holds the
+    /// reduced costs of the starting basis, as [`Worker::dual_feasible`]
+    /// left them.
+    fn run_dual(&mut self, deadline: Option<Instant>) -> Result<LpSolution, LpAbort> {
+        match self.optimize_dual(deadline)? {
             DualOutcome::Infeasible => Ok(self.finish(LpStatus::Infeasible)),
             DualOutcome::PrimalFeasible => {
                 self.bland = false;
@@ -958,20 +1173,18 @@ impl<'a> Worker<'a> {
     /// nonbasic point already extremizes the right-hand side toward the
     /// violated bound — no feasible point exists.
     ///
-    /// `y` enters holding the duals of the starting basis, which the first
-    /// iteration uses as they are.
-    fn optimize_dual(
-        &mut self,
-        deadline: Option<Instant>,
-        mut y: Vec<f64>,
-    ) -> Result<DualOutcome, LpAbort> {
+    /// `price.d` enters holding the fresh reduced costs of the starting
+    /// basis. Each pivot updates them through its pivot row α:
+    /// `d_j −= θ_d α_j` on the nonbasic columns with `θ_d = d_q / α_q`,
+    /// the entering column's becomes 0 and the leaving column's `−θ_d`.
+    /// After every refactorization y and d are recomputed fresh.
+    fn optimize_dual(&mut self, deadline: Option<Instant>) -> Result<DualOutcome, LpAbort> {
         let m = self.p.m;
         if m == 0 {
             return Ok(DualOutcome::PrimalFeasible);
         }
         let mut w = vec![0.0; m];
         let mut rho = vec![0.0; m];
-        let mut y_current = true;
         let mut stall = 0usize;
         let mut last_viol = f64::INFINITY;
         let start_iters = self.iters;
@@ -1019,31 +1232,30 @@ impl<'a> Worker<'a> {
             }
             last_viol = viol;
 
-            // ρ = B⁻ᵀ e_r gives row r of B⁻¹[A|I]; y = B⁻ᵀ c_B the duals.
+            // ρ = B⁻ᵀ e_r; the pivot row α = ρᵀ[A|I] (row r of B⁻¹[A|I])
+            // goes to `price.acc`, the columns it reaches to
+            // `price.touched`.
             for v in rho.iter_mut() {
                 *v = 0.0;
             }
             rho[r] = 1.0;
             self.factors.btran(&mut rho);
-            if !y_current {
-                self.duals_into(&mut y);
-            }
-            // Every path below pivots or returns.
-            y_current = false;
+            self.price.scatter(self.p, &self.art_cols, &rho);
 
             // Dual ratio test: among columns whose allowed movement pushes
             // x_B[r] toward the violated bound, take the smallest
             // |d_j| / |α_j| (ties: larger |α|, then lower index — both
-            // deterministic).
-            let n_total = self.n_total();
+            // deterministic). A column the pivot row does not reach has
+            // α_j = 0 and is never eligible.
             let mut enter: Option<(usize, f64, f64)> = None; // (col, ratio, alpha)
             let mut weak_free = false;
-            for j in 0..n_total {
+            for &j in &self.price.touched {
+                let j = j as usize;
                 let st = self.status[j];
                 if matches!(st, VStat::Basic(_)) || self.lb[j] == self.ub[j] {
                     continue;
                 }
-                let alpha = self.dot_col(j, &rho);
+                let alpha = self.price.acc[j];
                 let free = !self.lb[j].is_finite() && !self.ub[j].is_finite();
                 if alpha.abs() <= PIVOT_TOL {
                     // A free column with a tiny-but-nonzero α could in
@@ -1067,8 +1279,7 @@ impl<'a> Worker<'a> {
                 if !ok {
                     continue;
                 }
-                let d = self.cost[j] - self.dot_col(j, &y);
-                let ratio = d.abs() / alpha.abs();
+                let ratio = self.price.d[j].abs() / alpha.abs();
                 let better = match enter {
                     None => true,
                     Some((bj, br, ba)) => {
@@ -1082,7 +1293,7 @@ impl<'a> Worker<'a> {
                     enter = Some((j, ratio, alpha));
                 }
             }
-            let Some((q, _ratio, _alpha)) = enter else {
+            let Some((q, _ratio, alpha_q)) = enter else {
                 if weak_free {
                     return Err(LpAbort::Singular);
                 }
@@ -1099,6 +1310,18 @@ impl<'a> Worker<'a> {
                 return Err(LpAbort::Singular);
             }
             let leaving = self.basis[r];
+
+            // Carry the reduced costs to the new basis through α.
+            let theta_d = self.price.d[q] / alpha_q;
+            for &j in &self.price.touched {
+                let j = j as usize;
+                if !matches!(self.status[j], VStat::Basic(_)) {
+                    self.price.d[j] -= theta_d * self.price.acc[j];
+                }
+            }
+            self.price.d[q] = 0.0;
+            self.price.d[leaving] = -theta_d;
+
             let target = if below {
                 self.lb[leaving]
             } else {
@@ -1122,7 +1345,24 @@ impl<'a> Worker<'a> {
             let ok = self.factors.update(r, &w);
             if !ok || self.factors.eta_count() >= REFACTOR_ETAS {
                 self.refactor()?;
+                self.resync_reduced_costs();
             }
+        }
+    }
+
+    /// Replace the dual loop's carried reduced costs with fresh ones. Debug
+    /// builds first check that the two agree on every nonbasic column to
+    /// within `CARRY_TOL`, relative to the larger of 1 and the fresh value.
+    fn resync_reduced_costs(&mut self) {
+        let carried = cfg!(debug_assertions).then(|| self.price.d.clone());
+        self.price_fresh();
+        for (j, c) in carried.into_iter().flatten().enumerate() {
+            let f = self.price.d[j];
+            debug_assert!(
+                matches!(self.status[j], VStat::Basic(_))
+                    || (c - f).abs() <= CARRY_TOL * f.abs().max(1.0),
+                "carried reduced cost {c} of column {j} drifted from fresh {f}"
+            );
         }
     }
 
@@ -1153,11 +1393,11 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Core iteration loop for the current phase.
+    /// Core iteration loop for the current phase. Every iteration prices
+    /// on fresh duals.
     fn optimize(&mut self, deadline: Option<Instant>) -> Result<InnerStatus, LpAbort> {
         let m = self.p.m;
         let mut w = vec![0.0; m];
-        let mut y = Vec::with_capacity(m);
         loop {
             self.iters += 1;
             if self.iters > MAX_ITERS {
@@ -1171,7 +1411,7 @@ impl<'a> Worker<'a> {
                 }
             }
 
-            self.duals_into(&mut y);
+            self.price_fresh();
 
             // Pricing.
             let mut enter: Option<(usize, f64, f64)> = None; // (col, d, dir)
@@ -1183,7 +1423,7 @@ impl<'a> Worker<'a> {
                         if self.lb[j] == self.ub[j] {
                             continue; // fixed
                         }
-                        let d = self.cost[j] - self.dot_col(j, &y);
+                        let d = self.price.d[j];
                         let free = !self.lb[j].is_finite();
                         if d < -DUAL_TOL || (free && d > DUAL_TOL) {
                             let dir = if d < 0.0 { 1.0 } else { -1.0 };
@@ -1201,7 +1441,7 @@ impl<'a> Worker<'a> {
                         if self.lb[j] == self.ub[j] {
                             continue;
                         }
-                        let d = self.cost[j] - self.dot_col(j, &y);
+                        let d = self.price.d[j];
                         if d > DUAL_TOL {
                             if self.bland || self.always_bland {
                                 enter = Some((j, d, -1.0));
@@ -1784,5 +2024,182 @@ mod tests {
             }
         }
         assert!(hits > 40, "only {hits} sibling solves compared");
+    }
+
+    /// The row-wise kernels against `dot_col` on random sparse problems
+    /// with slack and artificial columns, and vectors holding exact zeros
+    /// and −0: every pivot-row and reduced-cost entry is bit-identical
+    /// once −0 is read as +0, and the reached columns come ascending.
+    #[test]
+    fn row_wise_kernels_match_column_dot_products() {
+        let mut state = 0x0DDB_1A5E_u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        // Zeros of both signs, and values of mixed sign and magnitude
+        // whose sums round.
+        let sample = |next: &mut dyn FnMut() -> u64| match next() % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            k => {
+                let mantissa = (next() % 2001) as f64 - 1000.0;
+                mantissa / 7.0 * 10f64.powi((next() % 9) as i32 - 4) * (k as f64 - 3.0)
+            }
+        };
+        let plus_zero = |x: f64| if x == 0.0 { 0.0 } else { x };
+        let (mut artificials, mut reached) = (0, 0);
+        for trial in 0..60 {
+            let n = 2 + (next() % 40) as usize;
+            let rows = 1 + (next() % 30) as usize;
+            let mut m = Model::new("kernels");
+            let vars: Vec<_> = (0..n)
+                .map(|j| m.add_continuous(j as f64 % 3.0 - 1.0, 4.0, 0.0))
+                .collect();
+            for i in 0..rows {
+                let mut e = LinExpr::new();
+                for &v in &vars {
+                    let c = sample(&mut next);
+                    if c != 0.0 && next() % 3 == 0 {
+                        e.add_term(c, v);
+                    }
+                }
+                let sense = [Sense::Le, Sense::Ge, Sense::Eq][i % 3];
+                m.add_constraint(e, sense, sample(&mut next));
+            }
+            let p = LpProblem::from_model(&m);
+            let mut w = Worker::new(&p, &p.lb, &p.ub);
+            artificials += w.art_cols.len();
+            for c in w.cost.iter_mut() {
+                *c = sample(&mut next);
+            }
+            for round in 0..4 {
+                let v: Vec<f64> = (0..p.m).map(|_| sample(&mut next)).collect();
+                w.price.scatter(&p, &w.art_cols, &v);
+                let touched = w.price.touched.clone();
+                assert!(
+                    touched.windows(2).all(|t| t[0] < t[1]),
+                    "trial {trial}.{round}: reached columns out of order"
+                );
+                reached += touched.len();
+                for j in 0..w.n_total() {
+                    assert_eq!(
+                        plus_zero(w.price.acc[j]).to_bits(),
+                        plus_zero(w.dot_col(j, &v)).to_bits(),
+                        "trial {trial}.{round}: pivot-row entry {j}"
+                    );
+                }
+                w.price.reduced_costs(&p, &w.art_cols, &w.cost, &v);
+                for j in 0..w.n_total() {
+                    assert_eq!(
+                        plus_zero(w.price.d[j]).to_bits(),
+                        plus_zero(w.cost[j] - w.dot_col(j, &v)).to_bits(),
+                        "trial {trial}.{round}: reduced cost {j}"
+                    );
+                }
+            }
+        }
+        assert!(artificials > 20, "only {artificials} artificial columns");
+        assert!(reached > 1000, "only {reached} reached columns");
+    }
+
+    /// A warm dual re-solve long enough to refactor, and so to replace its
+    /// carried reduced costs with fresh ones, at least twice inside the
+    /// dual loop (debug builds check the carried values at each resync)
+    /// ends with the cold solve's status and objective.
+    #[test]
+    fn long_warm_dual_resolve_matches_cold_solve() {
+        let mut state = 0x5EED_D0A1_u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let (n, rows) = (320, 260);
+        let mut m = Model::new("long-dual");
+        let vars: Vec<_> = (0..n)
+            .map(|_| m.add_continuous(0.0, 10.0, -1.0 - (next() % 9) as f64))
+            .collect();
+        for _ in 0..rows {
+            let mut e = LinExpr::new();
+            for _ in 0..6 {
+                e.add_term(1.0 + (next() % 4) as f64, vars[next() as usize % n]);
+            }
+            m.add_constraint(e, Sense::Le, 20.0 + (next() % 40) as f64);
+        }
+        let p = LpProblem::from_model(&m);
+        let (root, warm) = p.solve_primal(&p.lb, &p.ub, None).expect("root solves");
+        assert_eq!(root.status, LpStatus::Optimal);
+        let warm = warm.expect("optimal root yields a snapshot");
+        // Halve the upper bound of every column above 1, which leaves
+        // most basic columns above their new bound.
+        let mut ub = p.ub.clone();
+        for (j, &x) in root.x.iter().enumerate() {
+            if x > 1.0 {
+                ub[j] = (x / 2.0).floor();
+            }
+        }
+
+        let mut w = Worker::from_basis(&p, &p.lb, &ub, &warm).expect("snapshot fits");
+        w.factor_warm(None).expect("parent basis factors");
+        assert!(w.dual_feasible(1e-6), "bound changes keep dual feasibility");
+        w.optimize_dual(None).expect("dual loop runs");
+        assert!(
+            w.lu.count >= 3,
+            "the dual loop refactored {} time(s) in {} pivots",
+            w.lu.count - 1,
+            w.iters
+        );
+
+        let (ws, _) = p
+            .solve_dual_warm(&p.lb, &ub, &warm, None, None)
+            .expect("warm start accepted");
+        let cold = p.solve_with_bounds(&p.lb, &ub, None).expect("cold solves");
+        assert_eq!(ws.status, cold.status);
+        assert!(
+            (ws.obj - cold.obj).abs() <= 1e-6 * cold.obj.abs().max(1.0),
+            "warm {} vs cold {}",
+            ws.obj,
+            cold.obj
+        );
+    }
+
+    /// A refused warm start records the factorization it did and counts
+    /// in `lp.warm_rejects`, with no `lp.iters` observation of its own.
+    /// Other tests may solve LPs while metrics are on, so the counts are
+    /// lower bounds.
+    #[test]
+    fn rejected_warm_start_is_metered() {
+        // The optimal basis of max x + y is dual infeasible for min x + y.
+        let lp_with_cost = |c: f64| {
+            let mut m = Model::new("reject");
+            let x = m.add_continuous(0.0, 10.0, c);
+            let y = m.add_continuous(0.0, 10.0, c);
+            m.add_constraint(LinExpr::from(x) + LinExpr::term(2.0, y), Sense::Le, 8.0);
+            LpProblem::from_model(&m)
+        };
+        let max = lp_with_cost(-1.0);
+        let (root, warm) = max
+            .solve_primal(&max.lb, &max.ub, None)
+            .expect("root solves");
+        assert_eq!(root.status, LpStatus::Optimal);
+        let warm = warm.expect("snapshot");
+        let min = lp_with_cost(1.0);
+        metrics::reset();
+        metrics::enable();
+        let res = min.solve_dual_warm(&min.lb, &min.ub, &warm, None, None);
+        metrics::disable();
+        let snap = metrics::snapshot();
+        metrics::reset();
+        assert_eq!(res.err(), Some(LpAbort::Singular));
+        let count = |name: &str| match snap.get(name) {
+            Some(metrics::MetricValue::Counter(n)) => *n,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert!(count("lp.warm_rejects") >= 1, "rejection not counted");
+        assert!(count("lp.factorizations") >= 1, "factorization lost");
     }
 }
