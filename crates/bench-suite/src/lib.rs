@@ -2,7 +2,8 @@
 //!
 //! The nine benchmarks of the DAC'15 paper's evaluation (Table 1/2),
 //! reconstructed as word-level CDFG generators, plus the pedagogical
-//! Reed-Solomon encoder kernel of Fig. 1/2.
+//! Reed-Solomon encoder kernel of Fig. 1/2. The [`paper`] module
+//! regenerates every table and figure of the evaluation from them.
 //!
 //! Each generator is parametric and *scaled down* relative to the paper's
 //! LLVM instruction counts (86–2503) so that the from-scratch MILP solver
@@ -33,6 +34,7 @@ mod fig1;
 mod gfmul;
 mod gsm;
 mod mt;
+pub mod paper;
 mod rs;
 mod xorr;
 

@@ -18,9 +18,13 @@
 //! paths report identical objectives on every completed point, and
 //! writes `BENCH_resolve.json`.
 //!
+//! The `paper` sub-mode prints one of the paper's tables, figures or
+//! ablations (see `pipemap_bench_suite::paper`).
+//!
 //! ```text
 //! cargo run -p pipemap-bench-suite -- --quick --jobs 2
 //! cargo run -p pipemap-bench-suite -- resolve --quick
+//! cargo run --release -p pipemap-bench-suite -- paper table1 --time-limit 60
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +33,8 @@ use std::time::{Duration, Instant};
 
 mod compare;
 
-use pipemap_bench_suite::{all, Benchmark};
+use pipemap_bench_suite::paper::Experiment;
+use pipemap_bench_suite::{all, by_name, Benchmark};
 use pipemap_core::{
     milp_map_model_size_raw, run_flow, run_sweep, Flow, FlowOptions, FlowResult, MilpStats,
     SweepConfig,
@@ -45,7 +50,7 @@ struct Args {
     only: Option<String>,
     skip_cold: bool,
     overhead_check: bool,
-    gap_closers: bool,
+    experiment: Option<Experiment>,
     compare_files: Vec<String>,
     wall_tol_pct: f64,
     allow_missing: bool,
@@ -57,6 +62,7 @@ enum Mode {
     Milp,
     Resolve,
     Compare,
+    Paper,
 }
 
 fn parse_args() -> Args {
@@ -69,7 +75,7 @@ fn parse_args() -> Args {
         only: None,
         skip_cold: false,
         overhead_check: false,
-        gap_closers: true,
+        experiment: None,
         compare_files: Vec::new(),
         wall_tol_pct: 50.0,
         allow_missing: false,
@@ -81,6 +87,7 @@ fn parse_args() -> Args {
             "milp" => args.mode = Mode::Milp,
             "resolve" => args.mode = Mode::Resolve,
             "compare" => args.mode = Mode::Compare,
+            "paper" => args.mode = Mode::Paper,
             "--wall-tol-pct" => {
                 let v = it
                     .next()
@@ -106,16 +113,6 @@ fn parse_args() -> Args {
             }
             "--skip-cold" => args.skip_cold = true,
             "--overhead-check" => args.overhead_check = true,
-            "--gap-closers" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--gap-closers needs on|off"));
-                args.gap_closers = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage("--gap-closers needs on|off"),
-                };
-            }
             "--time-limit" => {
                 let v = it
                     .next()
@@ -127,10 +124,14 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "pipemap-bench-suite: cold-vs-optimized MILP solve benchmark\n\n\
-                     USAGE: pipemap-bench-suite [milp|resolve] [--quick] [--jobs N] [--out PATH] [--time-limit S]\n\n\
+                     USAGE: pipemap-bench-suite [milp|resolve] [--quick] [--jobs N] [--out PATH] [--time-limit S]\n\
+                     \x20      pipemap-bench-suite paper EXPERIMENT [--time-limit S] [--bench NAME]\n\n\
                      milp           cold-vs-optimized solver A/B over the Table 1 suite (default)\n\
                      resolve        incremental re-solve engine benchmark: II*K*weight sweep\n\
                      \x20              cold vs in-place re-solves\n\
+                     paper EXPERIMENT  print one of the paper's artifacts: table1, table2, fig1,\n\
+                     \x20              fig2, ablation_alpha_beta, ablation_k, ablation_ii,\n\
+                     \x20              ablation_scaling (--bench filters table1)\n\
                      compare BASELINE.json CANDIDATE.json\n\
                      \x20              regression gate between two milp-mode reports; exits non-zero\n\
                      \x20              when the candidate regresses (status, objective, gap, model\n\
@@ -143,7 +144,6 @@ fn parse_args() -> Args {
                      --out PATH     JSON report path (default BENCH_milp.json / BENCH_resolve.json)\n\
                      --bench NAME   run a single benchmark by Table 1 name\n\
                      --time-limit S per-solve wall-clock budget in seconds\n\
-                     --gap-closers on|off  Gomory cuts + incumbent decomposition in the optimized pass (default on)\n\
                      --overhead-check  assert disabled-mode tracing overhead and\n\
                      \x20              metrics-enabled-but-unexported overhead are each < 2%, then exit"
                 );
@@ -151,6 +151,16 @@ fn parse_args() -> Args {
             }
             other if args.mode == Mode::Compare && !other.starts_with('-') => {
                 args.compare_files.push(other.to_string());
+            }
+            other
+                if args.mode == Mode::Paper
+                    && args.experiment.is_none()
+                    && !other.starts_with('-') =>
+            {
+                args.experiment = Some(
+                    Experiment::from_name(other)
+                        .unwrap_or_else(|| usage(&format!("unknown paper experiment {other}"))),
+                );
             }
             other => usage(&format!("unknown argument {other}")),
         }
@@ -172,11 +182,12 @@ fn parse_args() -> Args {
                 }
             }
             Mode::Compare => 1,
+            Mode::Paper => args.experiment.map_or(0, Experiment::default_limit_secs),
         };
     }
     if args.out.is_empty() {
         args.out = match args.mode {
-            Mode::Milp | Mode::Compare => "BENCH_milp.json".to_string(),
+            Mode::Milp | Mode::Compare | Mode::Paper => "BENCH_milp.json".to_string(),
             Mode::Resolve => "BENCH_resolve.json".to_string(),
         };
     }
@@ -581,6 +592,23 @@ fn resolve_main(args: &Args) -> ! {
     std::process::exit(0);
 }
 
+/// The `paper` sub-mode: print one of the paper's artifacts.
+fn paper_main(args: &Args) {
+    let experiment = args.experiment.unwrap_or_else(|| {
+        let names: Vec<&str> = Experiment::ALL.iter().map(|e| e.name()).collect();
+        usage(&format!("paper needs an experiment: {}", names.join(", ")))
+    });
+    if let Some(name) = &args.only {
+        if experiment != Experiment::Table1 {
+            usage("--bench applies to paper table1 only");
+        }
+        if by_name(name).is_none() {
+            usage(&format!("unknown benchmark {name}"));
+        }
+    }
+    experiment.print(Duration::from_secs(args.time_limit), args.only.as_deref());
+}
+
 fn main() {
     let args = parse_args();
     if args.mode == Mode::Compare {
@@ -598,6 +626,10 @@ fn main() {
     }
     if args.mode == Mode::Resolve {
         resolve_main(&args);
+    }
+    if args.mode == Mode::Paper {
+        paper_main(&args);
+        return;
     }
     let mut benches = all();
     if args.quick {
@@ -670,8 +702,8 @@ fn main() {
         presolve: true,
         warm_start: true,
         priority_cuts: true,
-        gomory_cuts: args.gap_closers,
-        decompose: args.gap_closers,
+        gomory_cuts: true,
+        decompose: true,
         ..FlowOptions::default()
     };
     let workers = args

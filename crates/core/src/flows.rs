@@ -293,23 +293,15 @@ pub fn run_flow(
     } else {
         (dfg.clone(), None, None)
     };
-    // The downstream mapper of the baseline flow always sees real cuts.
-    // The mapping-aware MILP flow routes enumeration through the
-    // certified priority-cut analysis instead: the raw pool is pruned
-    // with dominance/liveness certificates and ranked down to
-    // `max_cuts_per_root`, so the model it builds is strictly smaller.
-    let mut map_cfg = opts.cut_config(target);
-    let mut prune: Option<CutPruneStats> = None;
-    let db_map = if opts.priority_cuts && flow == Flow::MilpMap {
-        let _s = obs::span("cut-enum");
-        let out = priority_cuts(&work, &map_cfg, &opts.prune_config(live));
-        prune = Some(out.stats);
-        out.db
-    } else {
-        let _s = obs::span("cut-enum");
-        map_cfg.live_bits = live;
-        CutDb::enumerate(&work, &map_cfg)
-    };
+    // The downstream mapper of the baseline flow always sees real cuts;
+    // only the mapping-aware MILP flow may prune them.
+    let (db_map, prune) = map_cut_db(
+        &work,
+        target,
+        opts,
+        opts.priority_cuts && flow == Flow::MilpMap,
+        live,
+    );
     if let Some(p) = pre.as_mut() {
         p.cuts_after = db_map.total_cuts();
     }
@@ -364,6 +356,30 @@ pub fn run_flow(
         Flow::MilpMap => run_milp(
             &work, target, flow, opts, &db_map, &db_map, &baseline, pre, prune,
         ),
+    }
+}
+
+/// The mapping-aware cut database of `work` under `opts`' cut settings.
+/// With `priority` the raw pool goes through the certified priority-cut
+/// analysis: dominance and liveness drops carry certificates, and the
+/// survivors are ranked down to [`FlowOptions::max_cuts_per_root`], so
+/// the model built over it is strictly smaller. Without it the plain
+/// enumerator runs, skipping the bits `live` marks dead.
+pub(crate) fn map_cut_db(
+    work: &Dfg,
+    target: &Target,
+    opts: &FlowOptions,
+    priority: bool,
+    live: Option<Vec<u64>>,
+) -> (CutDb, Option<CutPruneStats>) {
+    let _s = obs::span("cut-enum");
+    let mut cfg = opts.cut_config(target);
+    if priority {
+        let out = priority_cuts(work, &cfg, &opts.prune_config(live));
+        (out.db, Some(out.stats))
+    } else {
+        cfg.live_bits = live;
+        (CutDb::enumerate(work, &cfg), None)
     }
 }
 
@@ -711,48 +727,6 @@ fn run_milp(
             solver,
         }),
     })
-}
-
-/// Size of the mapping-aware MILP exactly as [`run_flow`] would build it
-/// for [`Flow::MilpMap`] under `opts`, without solving: `(variables,
-/// constraints, total_cuts)`. Pair with [`milp_map_model_size_raw`] to
-/// report how much the certified priority-cut analysis shrinks the
-/// model a solver faces.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if no initiation interval admits a baseline
-/// schedule.
-pub fn milp_map_model_size(
-    dfg: &Dfg,
-    target: &Target,
-    opts: &FlowOptions,
-) -> Result<(usize, usize, usize), CoreError> {
-    let (work, _, live) = if opts.analyze {
-        analyze_pre_pass(dfg, target, opts)
-    } else {
-        (dfg.clone(), None, None)
-    };
-    let mut map_cfg = opts.cut_config(target);
-    let db = if opts.priority_cuts {
-        priority_cuts(&work, &map_cfg, &opts.prune_config(live)).db
-    } else {
-        map_cfg.live_bits = live;
-        CutDb::enumerate(&work, &map_cfg)
-    };
-    let baseline = schedule_baseline(&work, target, opts.ii, &db)?;
-    let m = baseline.implementation.schedule.depth() + opts.extra_latency;
-    let f = formulation::build_weighted(
-        &work,
-        target,
-        &db,
-        baseline.ii,
-        m,
-        opts.alpha,
-        opts.beta,
-        opts.gamma,
-    );
-    Ok((f.model.num_vars(), f.model.num_rows(), db.total_cuts()))
 }
 
 /// Size of the mapping-aware MILP over the **raw** K-feasible cut pool:

@@ -60,7 +60,7 @@ pub fn debug_build_model(
 }
 pub use error::CoreError;
 pub use flows::{
-    milp_map_model_size, milp_map_model_size_raw, run_all_flows, run_flow, Flow, FlowOptions,
-    FlowResult, MilpStats, PrePassStats,
+    milp_map_model_size_raw, run_all_flows, run_flow, Flow, FlowOptions, FlowResult, MilpStats,
+    PrePassStats,
 };
 pub use sweep::{run_sweep, SweepConfig, SweepPoint, SweepReport};

@@ -23,13 +23,14 @@
 
 use std::time::{Duration, Instant};
 
-use pipemap_cuts::{priority_cuts, CutConfig, CutDb, PruneConfig};
+use pipemap_cuts::CutDb;
 use pipemap_ir::{Dfg, Target};
 use pipemap_milp::{ResolveStats, SolverOptions, Status};
 use pipemap_obs as obs;
 
 use crate::baseline::schedule_baseline;
 use crate::error::CoreError;
+use crate::flows::{map_cut_db, FlowOptions};
 use crate::formulation;
 
 /// The point grid and solver knobs of one [`run_sweep`] call.
@@ -59,19 +60,6 @@ pub struct SweepConfig {
     /// ([`pipemap_milp::ResolveContext::audit`]). Slow; for validation
     /// runs and CI smoke only.
     pub audit: bool,
-    /// Cuts kept per node during enumeration.
-    pub max_cuts: usize,
-    /// Largest cone size during enumeration.
-    pub max_cone: u32,
-    /// Shrink every base's model with the certified priority-cut
-    /// analysis before formulating (on by default — it is the same small
-    /// model the MILP-map flow would solve). Both sweep paths use the
-    /// identical cut database, so the cold/incremental objective
-    /// equality is unaffected.
-    pub priority_cuts: bool,
-    /// Cuts kept per root by the priority ranking when
-    /// [`SweepConfig::priority_cuts`] is on.
-    pub max_cuts_per_root: usize,
 }
 
 impl Default for SweepConfig {
@@ -89,10 +77,6 @@ impl Default for SweepConfig {
             jobs: 1,
             incremental: true,
             audit: false,
-            max_cuts: 8,
-            max_cone: 24,
-            priority_cuts: true,
-            max_cuts_per_root: 4,
         }
     }
 }
@@ -157,33 +141,12 @@ pub struct SweepReport {
     pub bases_deduped: usize,
 }
 
-fn cut_config(cfg: &SweepConfig, k: u32) -> CutConfig {
-    CutConfig {
-        k,
-        max_cuts: cfg.max_cuts,
-        max_cone: cfg.max_cone,
-        ..CutConfig::default()
-    }
-}
-
-/// The cut database of one structural base — identical for the cold and
-/// incremental paths, so point objectives stay comparable.
-fn build_db(dfg: &Dfg, cfg: &SweepConfig, k: u32) -> CutDb {
-    let _s = obs::span("cut-enum");
-    if cfg.priority_cuts {
-        priority_cuts(
-            dfg,
-            &cut_config(cfg, k),
-            &PruneConfig {
-                max_cuts_per_root: cfg.max_cuts_per_root.min(cfg.max_cuts).max(1),
-                raw_cuts: cfg.max_cuts.saturating_mul(2).clamp(8, 32),
-                live_bits: None,
-            },
-        )
-        .db
-    } else {
-        CutDb::enumerate(dfg, &cut_config(cfg, k))
-    }
+/// The cut database of one structural base: the MILP-map flow's
+/// priority-cut database under [`FlowOptions`]' default cut settings,
+/// without liveness masks. Identical for the cold and incremental paths,
+/// so point objectives stay comparable.
+fn build_db(dfg: &Dfg, target: &Target) -> CutDb {
+    map_cut_db(dfg, target, &FlowOptions::default(), true, None).0
 }
 
 fn solver_options(cfg: &SweepConfig) -> SolverOptions {
@@ -230,7 +193,7 @@ pub fn run_sweep(dfg: &Dfg, target: &Target, cfg: &SweepConfig) -> Result<SweepR
             ..target.clone()
         };
         let setup = Instant::now();
-        let db = build_db(dfg, cfg, k);
+        let db = build_db(dfg, &target_k);
         if cfg.incremental {
             report.setup_wall += setup.elapsed();
         }
@@ -375,7 +338,7 @@ fn run_base_cold(
 ) -> Result<(), CoreError> {
     for &(alpha, beta, gamma) in &cfg.weights {
         let start = Instant::now();
-        let db = build_db(dfg, cfg, target.k);
+        let db = build_db(dfg, target);
         let baseline = schedule_baseline(dfg, target, ii, &db)?;
         let m = baseline.implementation.schedule.depth();
         let f = formulation::build_weighted(dfg, target, &db, baseline.ii, m, alpha, beta, gamma);

@@ -15,7 +15,7 @@ use pipemap::bench_suite::by_name;
 use pipemap::core::{run_flow, Flow, FlowOptions};
 use pipemap::ir::InputStreams;
 use pipemap::netlist::verify_functional;
-use pipemap::verify::{check_flows, FlowCheckOptions};
+use pipemap::verify::{check_flows_with_graphs, FlowCheckOptions};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "GFMUL".into());
@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         time_limit: Duration::from_secs(limit),
         ..FlowOptions::default()
     };
-    let ins = InputStreams::random(&bench.dfg, 32, 9);
     println!(
         "{:<10} {:>7} {:>6} {:>6} {:>6} {:>4}",
         "method", "CP(ns)", "LUT", "FF", "depth", "II"
@@ -47,7 +46,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut results = Vec::new();
     for flow in Flow::EXTENDED {
         let r = run_flow(&bench.dfg, &bench.target, flow, &opts)?;
-        verify_functional(&bench.dfg, &bench.target, &r.implementation, &ins, 32)?;
+        // The implementation refers to the graph the flow scheduled,
+        // which the analyze pre-pass may have rewritten.
+        let ins = InputStreams::random(&r.dfg, 32, 9);
+        verify_functional(&r.dfg, &bench.target, &r.implementation, &ins, 32)?;
         println!(
             "{:<10} {:>7.2} {:>6} {:>6} {:>6} {:>4}",
             r.flow.label(),
@@ -68,11 +70,11 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Every flow output must also be clean under the full static verifier
     // (legality, QoR recount, RTL lint, differential simulation).
-    let labeled: Vec<(&str, _)> = results
+    let labeled: Vec<(&str, _, _)> = results
         .iter()
-        .map(|r| (r.flow.label(), &r.implementation))
+        .map(|r| (r.flow.label(), &r.dfg, &r.implementation))
         .collect();
-    let ds = check_flows(
+    let ds = check_flows_with_graphs(
         &bench.dfg,
         &bench.target,
         &labeled,

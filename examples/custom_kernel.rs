@@ -72,10 +72,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Pipeline it three ways and compare.
     let target = Target::default();
     let opts = FlowOptions::default();
-    let ver_ins = InputStreams::random(&dfg, 40, 77);
     for flow in Flow::ALL {
         let r = run_flow(&dfg, &target, flow, &opts)?;
-        verify_functional(&dfg, &target, &r.implementation, &ver_ins, 40)?;
+        // Simulate on the graph the flow scheduled, which the analyze
+        // pre-pass may have rewritten.
+        let ver_ins = InputStreams::random(&r.dfg, 40, 77);
+        verify_functional(&r.dfg, &target, &r.implementation, &ver_ins, 40)?;
         let Qor {
             luts,
             ffs,

@@ -21,12 +21,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     let r = run_flow(&bench.dfg, &bench.target, Flow::MilpMap, &opts)?;
 
     println!("// ---- schedule report -------------------------------------");
-    for line in schedule_report(&bench.dfg, &bench.target, &r.implementation).lines() {
+    // The implementation refers to the graph the flow scheduled, which
+    // the analyze pre-pass may have rewritten.
+    for line in schedule_report(&r.dfg, &bench.target, &r.implementation).lines() {
         println!("// {line}");
     }
     println!();
     let rtl = to_verilog(
-        &bench.dfg,
+        &r.dfg,
         &bench.target,
         &r.implementation,
         &format!("{}_pipeline", name.to_lowercase()),

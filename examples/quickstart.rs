@@ -42,9 +42,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // Every implementation can be simulated cycle-accurately and checked
-    // against the reference interpreter.
-    let ins = InputStreams::random(&dfg, 16, 42);
-    verify_functional(&dfg, &target, &result.implementation, &ins, 16)?;
+    // against the reference interpreter, on the graph the flow scheduled
+    // (the analyze pre-pass may have rewritten the input).
+    let ins = InputStreams::random(&result.dfg, 16, 42);
+    verify_functional(&result.dfg, &target, &result.implementation, &ins, 16)?;
     println!("cycle-accurate simulation matches the reference interpreter");
     Ok(())
 }

@@ -99,25 +99,20 @@ use pipemap::verify::{check_flows_with_graphs, lint_text, Code, FlowCheckOptions
 struct Args {
     positional: Vec<String>,
     flow: Flow,
-    limit: u64,
-    ii: u32,
+    /// The flow knobs the flags set: `--ii`, `--limit`, `--jobs`,
+    /// `--probing`, `--cuts`, `--gomory-cuts`, `--decompose`,
+    /// `--priority-cuts` and `--max-cuts-per-root`.
+    opts: FlowOptions,
     k: u32,
     module: String,
     json: bool,
     codes: bool,
     dot: bool,
-    jobs: usize,
     trace: Option<String>,
     metrics: bool,
     metrics_out: Option<String>,
     metrics_prom: Option<String>,
     report_out: Option<String>,
-    probing: bool,
-    cuts: bool,
-    gomory_cuts: bool,
-    decompose: bool,
-    priority_cuts: bool,
-    max_cuts_per_root: usize,
     deny_warnings: bool,
     resolve: bool,
     audit: bool,
@@ -146,25 +141,20 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut a = Args {
         positional: Vec::new(),
         flow: Flow::MilpMap,
-        limit: 30,
-        ii: 1,
+        opts: FlowOptions {
+            time_limit: Duration::from_secs(30),
+            ..FlowOptions::default()
+        },
         k: 4,
         module: "pipeline".into(),
         json: false,
         codes: false,
         dot: false,
-        jobs: 1,
         trace: None,
         metrics: false,
         metrics_out: None,
         metrics_prom: None,
         report_out: None,
-        probing: true,
-        cuts: true,
-        gomory_cuts: false,
-        decompose: false,
-        priority_cuts: false,
-        max_cuts_per_root: 4,
         deny_warnings: false,
         resolve: true,
         audit: false,
@@ -184,13 +174,14 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 };
             }
             "--limit" => {
-                a.limit = argv
+                a.opts.time_limit = argv
                     .next()
                     .and_then(|s| s.parse().ok())
+                    .map(Duration::from_secs)
                     .ok_or("--limit needs seconds")?;
             }
             "--ii" => {
-                a.ii = argv
+                a.opts.ii = argv
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or("--ii needs a number")?;
@@ -209,7 +200,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or("--jobs needs a thread count (0 = all cores)")?;
-                a.jobs = if j == 0 {
+                a.opts.jobs = if j == 0 {
                     std::thread::available_parallelism().map_or(1, |n| n.get())
                 } else {
                     j
@@ -227,13 +218,15 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--report-out" => {
                 a.report_out = Some(argv.next().ok_or("--report-out needs an output file")?);
             }
-            "--probing" => a.probing = parse_switch("--probing", argv.next())?,
-            "--cuts" => a.cuts = parse_switch("--cuts", argv.next())?,
-            "--gomory-cuts" => a.gomory_cuts = parse_switch("--gomory-cuts", argv.next())?,
-            "--decompose" => a.decompose = parse_switch("--decompose", argv.next())?,
-            "--priority-cuts" => a.priority_cuts = parse_switch("--priority-cuts", argv.next())?,
+            "--probing" => a.opts.probing = parse_switch("--probing", argv.next())?,
+            "--cuts" => a.opts.cuts = parse_switch("--cuts", argv.next())?,
+            "--gomory-cuts" => a.opts.gomory_cuts = parse_switch("--gomory-cuts", argv.next())?,
+            "--decompose" => a.opts.decompose = parse_switch("--decompose", argv.next())?,
+            "--priority-cuts" => {
+                a.opts.priority_cuts = parse_switch("--priority-cuts", argv.next())?;
+            }
             "--max-cuts-per-root" => {
-                a.max_cuts_per_root = argv
+                a.opts.max_cuts_per_root = argv
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
@@ -264,21 +257,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
 fn load(path: &str) -> Result<Dfg, Box<dyn Error>> {
     let src = std::fs::read_to_string(path)?;
     Ok(parse_dfg(&src)?)
-}
-
-fn options(a: &Args) -> FlowOptions {
-    FlowOptions {
-        ii: a.ii,
-        time_limit: Duration::from_secs(a.limit),
-        jobs: a.jobs,
-        probing: a.probing,
-        cuts: a.cuts,
-        gomory_cuts: a.gomory_cuts,
-        decompose: a.decompose,
-        priority_cuts: a.priority_cuts,
-        max_cuts_per_root: a.max_cuts_per_root,
-        ..FlowOptions::default()
-    }
 }
 
 fn target(a: &Args) -> Target {
@@ -384,7 +362,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
         "dot" => {
             let path = a.positional.first().ok_or("dot needs a .pmir file")?;
             let dfg = load(path)?;
-            let r = run_flow(&dfg, &target(a), a.flow, &options(a))?;
+            let r = run_flow(&dfg, &target(a), a.flow, &a.opts)?;
             let sched = r.implementation.schedule.clone();
             print!("{}", to_dot(&r.dfg, Some(&|v| sched.cycle(v))));
         }
@@ -392,7 +370,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
             let path = a.positional.first().ok_or("schedule needs a .pmir file")?;
             let dfg = load(path)?;
             let t = target(a);
-            let r = run_flow(&dfg, &t, a.flow, &options(a))?;
+            let r = run_flow(&dfg, &t, a.flow, &a.opts)?;
             print!("{}", schedule_report(&r.dfg, &t, &r.implementation));
             let ins = InputStreams::random(&r.dfg, 16, 1);
             verify_functional(&r.dfg, &t, &r.implementation, &ins, 16)?;
@@ -472,7 +450,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
             let path = a.positional.first().ok_or("verilog needs a .pmir file")?;
             let dfg = load(path)?;
             let t = target(a);
-            let r = run_flow(&dfg, &t, a.flow, &options(a))?;
+            let r = run_flow(&dfg, &t, a.flow, &a.opts)?;
             print!("{}", to_verilog(&r.dfg, &t, &r.implementation, &a.module)?);
         }
         "lint" => {
@@ -519,7 +497,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                 );
                 return Ok(());
             }
-            let report = analyze_report(&dfg, &target(a), a.ii)?;
+            let report = analyze_report(&dfg, &target(a), a.opts.ii)?;
             if a.json {
                 println!("{}", report.render_json());
             } else {
@@ -532,10 +510,9 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
             let (mut ds, dfg) = lint_text(&src);
             if let Some(dfg) = dfg.filter(|_| !ds.has_errors()) {
                 let t = target(a);
-                let opts = options(a);
                 // `run_all_flows` runs the three flows concurrently when
                 // --jobs > 1; results keep Flow::ALL order either way.
-                let results = pipemap::core::run_all_flows(&dfg, &t, &opts)?;
+                let results = pipemap::core::run_all_flows(&dfg, &t, &a.opts)?;
                 let flows: Vec<(&str, &Dfg, _)> = results
                     .iter()
                     .map(|r| (r.flow.label(), &r.dfg, &r.implementation))
@@ -552,7 +529,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                     &dfg,
                     &pipemap::cuts::CutConfig::for_target(&t),
                     &pipemap::cuts::PruneConfig {
-                        max_cuts_per_root: a.max_cuts_per_root,
+                        max_cuts_per_root: a.opts.max_cuts_per_root,
                         ..pipemap::cuts::PruneConfig::default()
                     },
                 );
@@ -589,7 +566,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
             );
             for flow in Flow::EXTENDED {
                 let started = std::time::Instant::now();
-                let r = run_flow(&bench.dfg, &bench.target, flow, &options(a))?;
+                let r = run_flow(&bench.dfg, &bench.target, flow, &a.opts)?;
                 let wall = started.elapsed();
                 let (nodes, hit) = r.milp.as_ref().map_or_else(
                     || ("-".to_string(), "-".to_string()),
@@ -629,8 +606,8 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                 (b.dfg, b.target)
             };
             let mut cfg = pipemap::core::SweepConfig {
-                time_limit: Duration::from_secs(a.limit),
-                jobs: a.jobs,
+                time_limit: a.opts.time_limit,
+                jobs: a.opts.jobs,
                 incremental: a.resolve,
                 audit: a.audit,
                 ..pipemap::core::SweepConfig::default()
@@ -724,7 +701,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                     )?;
                     (b.dfg, b.target)
                 };
-                let r = run_flow(&dfg, &t, a.flow, &options(a))?;
+                let r = run_flow(&dfg, &t, a.flow, &a.opts)?;
                 eprintln!(
                     "solved: {} | CP {:.2}ns | {} LUT | {} FF | II {}",
                     r.flow.label(),

@@ -43,24 +43,6 @@ fn fig1_kernel_all_flows() {
 }
 
 #[test]
-fn gfmul_collapses_to_combinational() {
-    let b = by_name("GFMUL").expect("exists");
-    let o = opts(20);
-
-    let hls = run_flow(&b.dfg, &b.target, Flow::HlsTool, &o).expect("hls");
-    let map = run_flow(&b.dfg, &b.target, Flow::MilpMap, &o).expect("map");
-    for r in [&hls, &map] {
-        let ins = InputStreams::random(&r.dfg, 32, 5);
-        verify_functional(&r.dfg, &b.target, &r.implementation, &ins, 32).expect("functional");
-    }
-    // Paper: GFMUL becomes a single combinational stage with zero FFs.
-    assert_eq!(map.qor.ffs, 0, "map FFs {}", map.qor.ffs);
-    assert_eq!(map.qor.depth, 1);
-    assert!(hls.qor.ffs > 0, "baseline should have pipeline registers");
-    assert!(map.qor.luts <= hls.qor.luts);
-}
-
-#[test]
 fn milp_map_objective_never_worse_than_seeds() {
     for name in ["MT", "DR"] {
         let b = by_name(name).expect("exists");
