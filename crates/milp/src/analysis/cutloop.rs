@@ -9,7 +9,7 @@
 use super::gomory::{separate_gomory, GomoryShift, MAX_CUTS, MAX_MODEL_VARS};
 use super::{binary_mask, Clique, Implication, StructuralAnalysis};
 use crate::model::{LinExpr, Model, Sense, VarId, VarKind};
-use crate::simplex::{LpProblem, LpStatus};
+use crate::simplex::{LpAbort, LpProblem, LpSolution, LpStatus, TableauData, WarmBasis};
 use pipemap_obs as obs;
 use pipemap_obs::metrics;
 use std::collections::BTreeSet;
@@ -155,6 +155,8 @@ pub struct CutLoopStats {
     pub aged_out: usize,
     /// Simplex iterations spent on separation LPs.
     pub lp_iterations: usize,
+    /// Rounds re-optimized from the previous round's basis.
+    pub warm_rounds: usize,
 }
 
 /// Result of [`root_cut_loop`].
@@ -167,6 +169,11 @@ pub struct CutLoopOutcome {
     pub cuts: Vec<CertifiedCut>,
     /// Counters.
     pub stats: CutLoopStats,
+    /// The cold solve of `model`'s own LP and its snapshot, when the
+    /// loop's last LP was exactly that: the same rows in the same order,
+    /// no cut aged out after the solve, and the same bounds. The tree's
+    /// root node takes it instead of solving the same LP again.
+    pub(crate) root_lp: Option<(LpSolution, Option<WarmBasis>)>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -181,6 +188,19 @@ struct PoolCut {
     cut: CertifiedCut,
     age: usize,
     kind: CutKind,
+    /// The cut's row in the last LP the loop solved to optimality; `None`
+    /// until it has been a row of one.
+    row: Option<usize>,
+}
+
+/// The last LP the loop solved to optimality.
+struct SolvedLp {
+    sol: LpSolution,
+    snap: Option<WarmBasis>,
+    /// Re-optimized from the previous round's basis (else a cold solve).
+    warm: bool,
+    /// Its row count.
+    rows: usize,
 }
 
 fn build_model(base: &Model, pool: &[PoolCut]) -> Model {
@@ -291,6 +311,60 @@ pub(crate) fn cover_expression(
     (coeffs, members.len() as f64 - 1.0 - negs as f64)
 }
 
+/// The cold primal solve of a round's LP, with its snapshot. With
+/// `gomory` (round 0 only) it also extracts tableau rows for Gomory
+/// separation, which is rank-1 only: at round 0 the pool is empty and
+/// `work` is the base model, so every certificate multiplier references
+/// an original model row.
+fn solve_round_cold(
+    lp: &LpProblem,
+    work: &Model,
+    gomory: bool,
+    deadline: Option<Instant>,
+) -> Result<(LpSolution, Option<WarmBasis>, Option<TableauData>), LpAbort> {
+    if gomory && work.num_vars() <= MAX_MODEL_VARS {
+        let candidate: Vec<bool> = work
+            .cols
+            .iter()
+            .map(|c| c.kind == VarKind::Integer)
+            .collect();
+        // Extract more rows than will ship: `separate_gomory` keeps only
+        // the most violated `MAX_CUTS` of them.
+        lp.solve_primal_tableau(&lp.lb, &lp.ub, deadline, &candidate, 1e-6, MAX_CUTS * 4)
+    } else {
+        lp.solve_primal(&lp.lb, &lp.ub, deadline)
+            .map(|(s, snap)| (s, snap, None))
+    }
+}
+
+/// Debug check of an accepted warm round: a cold solve of the same LP
+/// ends with the same status and, when optimal, the same objective to
+/// within 1e-9 relative. The scale is the size of the objective's terms,
+/// `Σ |c_j| · max(1, |x_j|)` at the cold optimum, not the objective
+/// itself: two optimal vertices agree only up to the simplex's
+/// tolerances, and an objective whose terms cancel to near zero would
+/// otherwise be held to an absolute 1e-9.
+fn check_against_cold(lp: &LpProblem, warm: &LpSolution) {
+    let Ok(cold) = lp.solve_primal_unmetered() else {
+        return;
+    };
+    assert_eq!(warm.status, cold.status, "warm cut round ended differently");
+    if cold.status == LpStatus::Optimal {
+        let scale: f64 = cold
+            .x
+            .iter()
+            .zip(&lp.obj)
+            .map(|(x, c)| c.abs() * x.abs().max(1.0))
+            .sum();
+        assert!(
+            (warm.obj - cold.obj).abs() <= 1e-9 * scale.max(1.0),
+            "warm cut round objective {} vs cold {}",
+            warm.obj,
+            cold.obj
+        );
+    }
+}
+
 /// Apply certified fixings to the bounds and run the root cutting-plane
 /// loop. Deterministic: same model, analysis, and config always yield
 /// the same strengthened model and pool.
@@ -320,6 +394,8 @@ pub fn root_cut_loop(
     let mut stats = CutLoopStats::default();
     let mut prev_obj = f64::NEG_INFINITY;
     let mut stalled = 0usize;
+    let base_rows = base.num_rows();
+    let mut last: Option<SolvedLp> = None;
 
     for round in 0..cfg.max_rounds {
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -343,34 +419,39 @@ pub fn root_cut_loop(
         pool.append(&mut pending);
         let work = build_model(&base, &pool);
         let lp = LpProblem::from_model(&work);
-        // Gomory separation is rank-1 only: the tableau is extracted at
-        // round 0, when the pool is empty and `work == base`, so every
-        // certificate multiplier references an original model row.
-        let mut tableau = None;
-        let gomory_here = cfg.gomory && round == 0 && base.num_vars() <= MAX_MODEL_VARS;
-        let solved = if gomory_here {
-            let candidate: Vec<bool> = work
-                .cols
-                .iter()
-                .map(|c| c.kind == VarKind::Integer)
-                .collect();
-            // Extract more rows than will ship: `separate_gomory` keeps
-            // only the most violated `MAX_CUTS` of them.
-            lp.solve_primal_tableau(&lp.lb, &lp.ub, deadline, &candidate, 1e-6, MAX_CUTS * 4)
-                .map(|(s, t)| {
-                    tableau = t;
-                    s
-                })
-        } else {
-            lp.solve_primal(&lp.lb, &lp.ub, deadline).map(|(s, _)| s)
+        // Rounds after the first re-optimize from the last optimal basis,
+        // mapped onto this round's rows: the base rows and the surviving
+        // cuts keep their slack statuses, the entering cuts come in with
+        // their slacks basic, which keeps the basis dual feasible.
+        let rows: Vec<Option<usize>> = (0..base_rows)
+            .map(Some)
+            .chain(pool.iter().map(|pc| pc.row))
+            .collect();
+        let warm_start = last
+            .as_ref()
+            .and_then(|l| l.snap.as_ref())
+            .and_then(|snap| snap.remap_rows(&rows));
+        let warm_solve =
+            warm_start.map(|wb| lp.solve_dual_warm(&lp.lb, &lp.ub, &wb, None, deadline));
+        let warm = matches!(warm_solve, Some(Ok(_)));
+        let solved = match warm_solve {
+            Some(Ok((s, snap))) => {
+                if cfg!(debug_assertions) {
+                    check_against_cold(&lp, &s);
+                }
+                Ok((s, snap, None))
+            }
+            Some(Err(LpAbort::Timeout)) => Err(LpAbort::Timeout),
+            // Round 0, or a refused warm start: solve cold.
+            _ => solve_round_cold(&lp, &work, cfg.gomory && round == 0, deadline),
         };
-        let sol = match solved {
-            Ok(s) if s.status == LpStatus::Optimal => s,
+        let (sol, snap, tableau) = match solved {
+            Ok((s, snap, tab)) if s.status == LpStatus::Optimal => (s, snap, tab),
             other => {
                 // The augmented LP did not re-solve: roll back to the
                 // last validated pool.
                 pool.truncate(validated);
-                if let Ok(s) = other {
+                if let Ok((s, ..)) = other {
                     stats.lp_iterations += s.iters;
                 }
                 break;
@@ -378,19 +459,12 @@ pub fn root_cut_loop(
         };
         stats.lp_iterations += sol.iters;
         stats.rounds += 1;
-        // Cuts are only worth the root-LP re-solves while they move the
-        // root bound; two flat rounds in a row and the remaining budget
-        // is better spent in the tree.
-        if round > 0 {
-            if sol.obj <= prev_obj + 1e-7 * prev_obj.abs().max(1.0) {
-                stalled += 1;
-                if stalled >= 2 {
-                    break;
-                }
-            } else {
-                stalled = 0;
-            }
+        stats.warm_rounds += usize::from(warm);
+        for (i, pc) in pool.iter_mut().enumerate() {
+            pc.row = Some(base_rows + i);
         }
+        // Every solved round reports, the one that ends the loop on a
+        // stall included.
         if obs::enabled() {
             // Round 0 has no prior objective; report a zero delta rather
             // than a non-finite sentinel (which JSON cannot carry).
@@ -405,12 +479,35 @@ pub fn root_cut_loop(
                     ("round", round.into()),
                     ("obj_before", obj_before.into()),
                     ("obj_after", sol.obj.into()),
+                    ("warm", u64::from(warm).into()),
+                    ("lp_iters", sol.iters.into()),
                     ("clique", entering[0].into()),
                     ("cover", entering[1].into()),
                     ("implication", entering[2].into()),
                     ("gomory", entering[3].into()),
                 ],
             );
+        }
+        let sol = &last
+            .insert(SolvedLp {
+                sol,
+                snap,
+                warm,
+                rows: lp.m,
+            })
+            .sol;
+        // Cuts are only worth the root-LP re-solves while they move the
+        // root bound; two flat rounds in a row and the remaining budget
+        // is better spent in the tree.
+        if round > 0 {
+            if sol.obj <= prev_obj + 1e-7 * prev_obj.abs().max(1.0) {
+                stalled += 1;
+                if stalled >= 2 {
+                    break;
+                }
+            } else {
+                stalled = 0;
+            }
         }
         prev_obj = sol.obj;
         let x = &sol.x;
@@ -498,7 +595,12 @@ pub fn root_cut_loop(
                 break;
             }
             if seen.insert(cut.key()) {
-                pending.push(PoolCut { cut, age: 0, kind });
+                pending.push(PoolCut {
+                    cut,
+                    age: 0,
+                    kind,
+                    row: None,
+                });
                 added += 1;
             }
         }
@@ -522,9 +624,133 @@ pub fn root_cut_loop(
         }
     }
     let final_model = build_model(&base, &pool);
+    // Every cut of the final pool sits on the row it had in the last LP,
+    // and no other cut was: the final model's LP is that LP.
+    let same_lp = |l: &SolvedLp| {
+        l.rows == base_rows + pool.len()
+            && pool
+                .iter()
+                .enumerate()
+                .all(|(i, pc)| pc.row == Some(base_rows + i))
+    };
+    let root_lp = last
+        .filter(|l| !l.warm && same_lp(l))
+        .map(|l| (l.sol, l.snap));
     CutLoopOutcome {
         model: final_model,
         cuts: pool.into_iter().map(|pc| pc.cut).collect(),
         stats,
+        root_lp,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::{analyze, AnalysisConfig};
+
+    /// A random multi-knapsack over binaries: packing rows with weights
+    /// 1..=9, maximize a random value. Cover and clique cuts separate on
+    /// it and slack cuts age out.
+    fn knapsacks(seed: u64) -> Model {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |k: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % k
+        };
+        let n = 8 + next(17) as usize;
+        let mut m = Model::new(format!("knapsacks-{seed}"));
+        let xs: Vec<VarId> = (0..n)
+            .map(|_| m.add_binary(-1.0 - next(9) as f64))
+            .collect();
+        for _ in 0..2 + next(5) {
+            let mut e = LinExpr::new();
+            let mut total = 0.0;
+            for &x in &xs {
+                if next(3) != 0 {
+                    let w = 1.0 + next(9) as f64;
+                    e.add_term(w, x);
+                    total += w;
+                }
+            }
+            m.add_constraint(e, Sense::Le, (total / 3.0).floor().max(1.0));
+        }
+        m
+    }
+
+    /// Several rounds on a multi-knapsack: every round after the first
+    /// re-optimizes warm, and cuts age out between rounds, so a warm round
+    /// starts from a basis whose dropped rows left with their slacks.
+    /// Debug builds also check every warm round against a cold solve.
+    #[test]
+    fn warm_rounds_drop_aged_out_rows() {
+        let m = knapsacks(4);
+        let sa = analyze(&m, &AnalysisConfig::default());
+        let out = root_cut_loop(&m, &sa, &CutLoopConfig::default(), None);
+        let rounds = out.stats.rounds;
+        assert!(rounds >= 3, "only {rounds} round(s)");
+        assert_eq!(
+            out.stats.warm_rounds,
+            rounds - 1,
+            "a warm start was refused"
+        );
+        assert!(out.stats.aged_out >= 1, "no cut aged out");
+        // Stopped one round early, the same loop has aged cuts out
+        // already: the full loop's last round re-optimized without them.
+        let short = root_cut_loop(
+            &m,
+            &sa,
+            &CutLoopConfig {
+                max_rounds: rounds - 1,
+                ..CutLoopConfig::default()
+            },
+            None,
+        );
+        assert!(
+            short.stats.aged_out >= 1,
+            "no cut aged out before the last round"
+        );
+        assert_eq!(short.stats.warm_rounds, rounds - 2);
+    }
+
+    /// A root LP the loop hands over is, bit for bit, the cold solve of
+    /// the final model's LP: status, objective and `x` bits, iterations
+    /// and snapshot. One round always hands over round 0's LP, the Gomory
+    /// tableau solve's with Gomory separation on.
+    #[test]
+    fn handed_over_root_lp_is_the_cold_solve_of_the_final_model() {
+        let bits = |s: &LpSolution| {
+            (
+                s.status,
+                s.obj.to_bits(),
+                s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                s.iters,
+            )
+        };
+        let mut handed = 0;
+        for seed in 0..40 {
+            let m = knapsacks(seed);
+            let sa = analyze(&m, &AnalysisConfig::default());
+            for (max_rounds, gomory) in [(8, false), (1, false), (1, true)] {
+                let cfg = CutLoopConfig { max_rounds, gomory };
+                let out = root_cut_loop(&m, &sa, &cfg, None);
+                let Some((sol, snap)) = &out.root_lp else {
+                    assert!(max_rounds > 1, "seed {seed}: round 0 not handed over");
+                    continue;
+                };
+                let lp = LpProblem::from_model(&out.model);
+                let (cold, cold_snap) = lp.solve_primal(&lp.lb, &lp.ub, None).expect("cold solve");
+                assert_eq!(bits(sol), bits(&cold), "seed {seed}, {cfg:?}");
+                assert_eq!(
+                    format!("{snap:?}"),
+                    format!("{cold_snap:?}"),
+                    "seed {seed}, {cfg:?}"
+                );
+                handed += 1;
+            }
+        }
+        assert!(handed >= 80, "only {handed} root LPs handed over");
     }
 }

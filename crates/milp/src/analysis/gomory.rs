@@ -382,7 +382,7 @@ mod tests {
             .iter()
             .map(|c| c.kind == VarKind::Integer)
             .collect();
-        let (sol, tab) = lp
+        let (sol, _, tab) = lp
             .solve_primal_tableau(&lp.lb, &lp.ub, None, &candidate, 1e-6, 32)
             .expect("lp solves");
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -482,7 +482,7 @@ mod tests {
 
         let lp = LpProblem::from_model(&m);
         let candidate: Vec<bool> = m.cols.iter().map(|c| c.kind == VarKind::Integer).collect();
-        let (sol, tab) = lp
+        let (sol, _, tab) = lp
             .solve_primal_tableau(&lp.lb, &lp.ub, None, &candidate, 1e-6, 32)
             .expect("lp solves");
         assert_eq!(sol.status, LpStatus::Optimal);

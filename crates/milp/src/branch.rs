@@ -382,6 +382,9 @@ struct Ctx<'a> {
     /// Root relaxation objective (reduced space, post-cuts) as f64 bits;
     /// `u64::MAX` until the root solves. Telemetry only.
     root_bound_bits: &'a AtomicU64,
+    /// The cut loop's cold solve of the root LP with its snapshot, when
+    /// its last LP was exactly the root's (see `CutLoopOutcome::root_lp`).
+    root_lp: Option<(LpSolution, Option<WarmBasis>)>,
 }
 
 /// Finest grid `δ > 0` such that the *minimal* objective value over any
@@ -700,9 +703,12 @@ fn process_node(
         ub[j] = ub[j].min(u);
     }
 
+    // The root takes the cut loop's solve of its very LP when there is
+    // one; the loop has counted its iterations already.
+    let mut solved = ctx.root_lp.as_ref().filter(|_| node.depth == 0).cloned();
+    let handed_over = solved.is_some();
     // Warm-started dual simplex from the parent basis; any rejection
     // falls back to a cold primal solve.
-    let mut solved: Option<(LpSolution, Option<WarmBasis>)> = None;
     if ctx.warm_enabled {
         if let Some(wb) = &node.warm {
             ctx.warm_attempts.fetch_add(1, AtomicOrd::Relaxed);
@@ -740,7 +746,9 @@ fn process_node(
             }
         },
     };
-    *lp_iters += sol.iters;
+    if !handed_over {
+        *lp_iters += sol.iters;
+    }
     match sol.status {
         LpStatus::Infeasible => return Processed::Infeasible,
         LpStatus::Unbounded => return Processed::Unbounded,
@@ -1164,7 +1172,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
     // value and the determinism contract is untouched.
     let run_analysis = opts.probing || opts.cuts || opts.gomory_cuts;
     let mut root_lp_iters = 0usize;
-    let (rmodel_owned, sa) = if run_analysis {
+    let (rmodel_owned, sa, root_lp) = if run_analysis {
         let analysis_span = obs::span("structural-analysis");
         let sa = analysis::analyze(
             &red.model,
@@ -1242,9 +1250,9 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
                 ],
             );
         }
-        (out.model, Some(sa))
+        (out.model, Some(sa), out.root_lp)
     } else {
-        (red.model.clone(), None)
+        (red.model.clone(), None, None)
     };
     let rmodel = &rmodel_owned;
     let ns = sa.as_ref().map(|sa| NodeStructure::build(rmodel, sa));
@@ -1272,6 +1280,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         implication_fixings: &AtomicUsize::new(0),
         root_unsnapshottable: &AtomicBool::new(false),
         root_bound_bits: &AtomicU64::new(u64::MAX),
+        root_lp,
     };
 
     let mut state = SearchState {

@@ -237,12 +237,12 @@ impl LpProblem {
         })
     }
 
-    /// Cold primal solve that additionally captures simplex-tableau rows
-    /// for fractional candidate columns — the raw material for Gomory
-    /// mixed-integer separation. Tableau data is `None` unless the solve
-    /// reached optimality with a clean basis (no artificial left basic):
-    /// a row extracted across an artificial column could not be reproduced
-    /// from the model rows alone, so such bases yield no cuts.
+    /// [`Self::solve_primal`] that additionally captures simplex-tableau
+    /// rows for fractional candidate columns — the raw material for Gomory
+    /// mixed-integer separation. The rows are read from the optimal basis
+    /// before the artificials are pivoted out; the snapshot after, so it
+    /// is the one `solve_primal` returns. Both are `None` unless the solve
+    /// reached optimality.
     pub fn solve_primal_tableau(
         &self,
         lb: &[f64],
@@ -251,10 +251,14 @@ impl LpProblem {
         candidate: &[bool],
         frac_tol: f64,
         max_rows: usize,
-    ) -> Result<(LpSolution, Option<TableauData>), LpAbort> {
-        self.solve_cold(lb, ub, deadline, |w| {
-            w.tableau(candidate, frac_tol, max_rows)
-        })
+    ) -> Result<(LpSolution, Option<WarmBasis>, Option<TableauData>), LpAbort> {
+        let (sol, extra) = self.solve_cold(lb, ub, deadline, |w| {
+            let tableau = w.tableau(candidate, frac_tol, max_rows);
+            w.pivot_out_artificials();
+            Some((w.snapshot(), tableau))
+        })?;
+        let (snap, tableau) = extra.unwrap_or((None, None));
+        Ok((sol, snap, tableau))
     }
 
     /// Re-optimize from a parent basis after a bound change using the dual
@@ -325,7 +329,18 @@ impl LpProblem {
         deadline: Option<Instant>,
         extract: impl FnOnce(&mut Worker<'_>) -> Option<T>,
     ) -> Result<(LpSolution, Option<T>), LpAbort> {
-        let t0 = lp_metrics_start();
+        self.solve_cold_metered(lb, ub, deadline, lp_metrics_start(), extract)
+    }
+
+    /// [`Self::solve_cold`] metered from `t0`: `None` records nothing.
+    fn solve_cold_metered<T>(
+        &self,
+        lb: &[f64],
+        ub: &[f64],
+        deadline: Option<Instant>,
+        t0: Option<Instant>,
+        extract: impl FnOnce(&mut Worker<'_>) -> Option<T>,
+    ) -> Result<(LpSolution, Option<T>), LpAbort> {
         let mut lu = FactorTally::default();
         for attempt in 0..5 {
             let mut w = Worker::new(self, lb, ub);
@@ -357,6 +372,13 @@ impl LpProblem {
         lp_metrics_record(t0, lu, LpEnd::Aborted);
         Err(LpAbort::Numerical("repeated singular bases".into()))
     }
+
+    /// A cold primal solve that records no `lp.*` metrics, for debug
+    /// cross-checks that must not show in the counts they check.
+    pub fn solve_primal_unmetered(&self) -> Result<LpSolution, LpAbort> {
+        self.solve_cold_metered(&self.lb, &self.ub, None, None, |_| None::<()>)
+            .map(|(s, _)| s)
+    }
 }
 
 /// A restartable basis snapshot: the variable statuses and basis columns of
@@ -368,6 +390,65 @@ impl LpProblem {
 pub(crate) struct WarmBasis {
     status: Vec<VStat>,
     basis: Vec<usize>,
+}
+
+impl WarmBasis {
+    /// Re-index this snapshot for an LP with the same structural columns
+    /// and a new row list: `rows[i]` is `Some(k)` when new row `i` is old
+    /// row `k`, `None` when it is a new row. Kept rows keep their slack's
+    /// status and new rows enter with their slack basic; an old row left
+    /// out must have a basic slack, which leaves the basis with it. The
+    /// surviving basic columns keep their order and the new slacks follow
+    /// in row order.
+    ///
+    /// Every row whose slack is basic has dual 0, so the reduced costs of
+    /// the mapped basis are those of this one: an optimal snapshot maps to
+    /// a dual-feasible basis, ready for [`LpProblem::solve_dual_warm`].
+    /// `None` when a dropped row's slack is nonbasic or `rows` is not an
+    /// injective map into this snapshot's rows.
+    pub fn remap_rows(&self, rows: &[Option<usize>]) -> Option<WarmBasis> {
+        let m_old = self.basis.len();
+        let n = self.status.len() - m_old;
+        let mut new_row = vec![None; m_old];
+        for (i, &k) in rows.iter().enumerate() {
+            if let Some(k) = k {
+                if new_row.get_mut(k)?.replace(i).is_some() {
+                    return None;
+                }
+            }
+        }
+        let dropped_nonbasic = new_row
+            .iter()
+            .enumerate()
+            .any(|(k, r)| r.is_none() && !matches!(self.status[n + k], VStat::Basic(_)));
+        if dropped_nonbasic {
+            return None;
+        }
+        let mut status = self.status[..n].to_vec();
+        status.extend(rows.iter().map(|&k| match k {
+            Some(k) => self.status[n + k],
+            None => VStat::Basic(0),
+        }));
+        let mut basis: Vec<usize> = self
+            .basis
+            .iter()
+            .filter_map(|&j| match j.checked_sub(n) {
+                None => Some(j),
+                Some(k) => new_row[k].map(|i| n + i),
+            })
+            .collect();
+        basis.extend(
+            rows.iter()
+                .enumerate()
+                .filter(|(_, k)| k.is_none())
+                .map(|(i, _)| n + i),
+        );
+        for (pos, &j) in basis.iter().enumerate() {
+            status[j] = VStat::Basic(pos);
+        }
+        debug_assert_eq!(basis.len(), rows.len());
+        Some(WarmBasis { status, basis })
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2165,6 +2246,142 @@ mod tests {
             ws.obj,
             cold.obj
         );
+    }
+
+    /// Kept rows keep their slack's status (reordered rows included), a
+    /// dropped row's basic slack leaves with it, a new row's slack enters
+    /// basic after the surviving basic columns, and the basis has one
+    /// column per new row.
+    #[test]
+    fn remap_rows_keeps_drops_and_adds_rows() {
+        // Two structural columns, three rows: x0 basic, x1 at its lower
+        // bound; slack 0 at its bound, slacks 1 and 2 basic.
+        let snap = WarmBasis {
+            status: vec![
+                VStat::Basic(1),
+                VStat::AtLower,
+                VStat::AtUpper,
+                VStat::Basic(0),
+                VStat::Basic(2),
+            ],
+            basis: vec![3, 0, 4],
+        };
+        // New rows: old row 2, old row 0, a new row; old row 1 is dropped.
+        let mapped = snap
+            .remap_rows(&[Some(2), Some(0), None])
+            .expect("the dropped row's slack is basic");
+        assert_eq!(mapped.basis, vec![0, 2, 4]);
+        assert_eq!(mapped.basis.len(), 3, "one basic column per new row");
+        assert_eq!(
+            mapped.status,
+            vec![
+                VStat::Basic(0),
+                VStat::AtLower,
+                VStat::Basic(1),
+                VStat::AtUpper,
+                VStat::Basic(2),
+            ]
+        );
+        // Identity keeps the snapshot as it is.
+        let same = snap
+            .remap_rows(&[Some(0), Some(1), Some(2)])
+            .expect("identity");
+        assert_eq!(
+            (same.status, same.basis),
+            (snap.status.clone(), snap.basis.clone())
+        );
+        // Dropping row 0, whose slack is nonbasic, cannot keep the basis.
+        assert!(snap.remap_rows(&[Some(1), Some(2)]).is_none());
+        // Rows must map one to one into the snapshot's rows.
+        assert!(snap.remap_rows(&[Some(0), Some(0), Some(2)]).is_none());
+        assert!(snap.remap_rows(&[Some(0), Some(1), Some(3)]).is_none());
+    }
+
+    /// After a violated cut row is appended (and, where one exists, a row
+    /// with a basic slack is dropped), the warm dual solve from the
+    /// remapped optimal basis ends with the cold solve's status and
+    /// objective.
+    #[test]
+    fn remapped_basis_after_a_cut_matches_cold_solve() {
+        let mut state = 0xC07_5EED_u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let (mut compared, mut dropped) = (0, 0);
+        for trial in 0..120 {
+            let n = 2 + (next() % 8) as usize;
+            let rows = 2 + (next() % 8) as usize;
+            let mut m = Model::new("cut");
+            let vars: Vec<_> = (0..n)
+                .map(|_| {
+                    m.add_continuous(0.0, 1.0 + (next() % 5) as f64, -1.0 - (next() % 6) as f64)
+                })
+                .collect();
+            for _ in 0..rows {
+                let mut e = LinExpr::new();
+                for &v in &vars {
+                    if next() % 3 != 0 {
+                        e.add_term(1.0 + (next() % 4) as f64, v);
+                    }
+                }
+                m.add_constraint(e, Sense::Le, 3.0 + (next() % 12) as f64);
+            }
+            let p = LpProblem::from_model(&m);
+            let Ok((root, Some(snap))) = p.solve_primal(&p.lb, &p.ub, None) else {
+                continue;
+            };
+            if root.status != LpStatus::Optimal {
+                continue;
+            }
+            // A cut the optimum violates by 1/2.
+            let mut cut = LinExpr::new();
+            let mut lhs = 0.0;
+            for (j, &v) in vars.iter().enumerate() {
+                let c = (next() % 3) as f64;
+                if c != 0.0 {
+                    cut.add_term(c, v);
+                    lhs += c * root.x[j];
+                }
+            }
+            if lhs < 1.0 {
+                continue;
+            }
+            // Drop the first row whose slack is basic, if any.
+            let drop = (0..rows).find(|&i| matches!(snap.status[n + i], VStat::Basic(_)));
+            let mut cut_model = m.clone();
+            let mut map: Vec<Option<usize>> = (0..rows).map(Some).collect();
+            if let Some(i) = drop {
+                cut_model.rows.remove(i);
+                map.remove(i);
+            }
+            cut_model.add_constraint(cut, Sense::Le, lhs - 0.5);
+            map.push(None);
+            let q = LpProblem::from_model(&cut_model);
+            let warm = snap.remap_rows(&map).expect("slack-basic rows drop");
+            assert_eq!(warm.basis.len(), q.m, "trial {trial}");
+            let cold = q.solve_with_bounds(&q.lb, &q.ub, None).expect("cold");
+            match q.solve_dual_warm(&q.lb, &q.ub, &warm, None, None) {
+                Ok((ws, _)) => {
+                    assert_eq!(ws.status, cold.status, "trial {trial}");
+                    if cold.status == LpStatus::Optimal {
+                        assert!(
+                            (ws.obj - cold.obj).abs() <= 1e-9 * cold.obj.abs().max(1.0),
+                            "trial {trial}: warm {} vs cold {}",
+                            ws.obj,
+                            cold.obj
+                        );
+                    }
+                    compared += 1;
+                    dropped += usize::from(drop.is_some());
+                }
+                Err(e) => panic!("trial {trial}: remapped basis refused: {e:?}"),
+            }
+        }
+        assert!(compared > 40, "only {compared} warm/cold comparisons ran");
+        assert!(dropped > 10, "only {dropped} comparisons dropped a row");
     }
 
     /// A refused warm start records the factorization it did and counts

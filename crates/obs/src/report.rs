@@ -76,12 +76,17 @@ pub struct WarmSummary {
 /// One cut-loop round's root-bound movement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CutRound {
-    /// Round number (1-based).
+    /// Round number (0-based).
     pub round: u64,
     /// Root LP objective before the round's cuts.
     pub obj_before: f64,
     /// Root LP objective after.
     pub obj_after: f64,
+    /// The round re-optimized from the previous round's basis; `false`
+    /// for a cold solve (round 0, or a refused warm start).
+    pub warm: bool,
+    /// Simplex iterations of the round's LP.
+    pub lp_iters: u64,
     /// Cuts added this round per family, name-sorted.
     pub added: Vec<(String, u64)>,
 }
@@ -320,6 +325,8 @@ pub fn build(trace: &Trace) -> SolveReport {
                     round: arg_u64(e, "round").unwrap_or(0),
                     obj_before: arg_f64(e, "obj_before").unwrap_or(f64::NAN),
                     obj_after: arg_f64(e, "obj_after").unwrap_or(f64::NAN),
+                    warm: arg_u64(e, "warm") == Some(1),
+                    lp_iters: arg_u64(e, "lp_iters").unwrap_or(0),
                     added,
                 };
                 root_bound_after_cuts = Some(round.obj_after);
@@ -580,8 +587,10 @@ impl SolveReport {
             for c in &self.cut_rounds {
                 let fams: Vec<String> = c.added.iter().map(|(f, n)| format!("{f} {n}")).collect();
                 out.push_str(&format!(
-                    "  round {:<3} obj {:.4} -> {:.4}  ({})\n",
+                    "  round {:<3} {:<4} {:>7} iters  obj {:.4} -> {:.4}  ({})\n",
                     c.round,
+                    if c.warm { "warm" } else { "cold" },
+                    c.lp_iters,
                     c.obj_before,
                     c.obj_after,
                     fams.join(", ")
@@ -717,6 +726,10 @@ impl SolveReport {
             jnum(&mut o, c.obj_before);
             o.push_str(", \"obj_after\": ");
             jnum(&mut o, c.obj_after);
+            o.push_str(&format!(
+                ", \"warm\": {}, \"lp_iters\": {}",
+                c.warm, c.lp_iters
+            ));
             o.push_str(", \"added\": {");
             for (j, (f, n)) in c.added.iter().enumerate() {
                 if j > 0 {
@@ -913,6 +926,8 @@ mod tests {
                         ("round", 1u64.into()),
                         ("obj_before", 10.0.into()),
                         ("obj_after", 12.5.into()),
+                        ("warm", 1u64.into()),
+                        ("lp_iters", 17u64.into()),
                         ("gomory", 3u64.into()),
                         ("cover", 1u64.into()),
                     ],
@@ -973,6 +988,9 @@ mod tests {
         // Cut family attribution: 2.5 split 3:1 gomory:cover.
         let gom = r.features.iter().find(|f| f.name == "cuts:gomory").unwrap();
         assert!((gom.value - 2.5 * 0.75).abs() < 1e-9);
+        assert_eq!(r.cut_rounds.len(), 1);
+        assert!(r.cut_rounds[0].warm);
+        assert_eq!(r.cut_rounds[0].lp_iters, 17);
         // Incumbent improvement 20 -> 16 attributed to branch.
         let inc = r
             .features
@@ -986,6 +1004,7 @@ mod tests {
         let text = r.render();
         assert!(text.contains("phase attribution"));
         assert!(text.contains("top feature"));
+        assert!(text.contains("warm      17 iters"));
     }
 
     #[test]
@@ -997,6 +1016,7 @@ mod tests {
         let v = parse(&js).expect("report JSON parses");
         assert_eq!(v.get("schema").and_then(Value::as_str), Some(REPORT_SCHEMA));
         assert!(v.get("phases").and_then(Value::as_arr).is_some());
+        assert!(js.contains("\"warm\": true, \"lp_iters\": 17"));
         // Re-ingest the Chrome export and rebuild: same attribution.
         let chrome = crate::chrome::to_chrome_trace(&trace);
         let again = build(&trace_from_chrome(&chrome).expect("chrome parses"));
@@ -1004,5 +1024,6 @@ mod tests {
         assert_eq!(again.phases, direct.phases);
         assert_eq!(again.workers, direct.workers);
         assert_eq!(again.top_feature, direct.top_feature);
+        assert_eq!(again.cut_rounds, direct.cut_rounds);
     }
 }

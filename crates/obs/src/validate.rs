@@ -330,6 +330,24 @@ fn validate_report_value(doc: &Value) -> Result<(usize, usize), String> {
             return Err(format!("missing {key} array"));
         }
     }
+    for (i, c) in doc
+        .get("cut_rounds")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .enumerate()
+    {
+        if !matches!(c.get("warm"), Some(Value::Bool(_))) {
+            return Err(format!("cut_rounds[{i}]: warm is not a boolean"));
+        }
+        if !c
+            .get("lp_iters")
+            .and_then(Value::as_f64)
+            .is_some_and(|n| n >= 0.0)
+        {
+            return Err(format!("cut_rounds[{i}]: missing or negative lp_iters"));
+        }
+    }
     let dropped = doc
         .get("dropped_events")
         .and_then(Value::as_f64)
@@ -417,6 +435,19 @@ mod tests {
         assert!(validate_solve_report(&over).unwrap_err().contains("5%"));
         let neg = good.replace("\"total_us\": 990", "\"total_us\": -5");
         assert!(validate_solve_report(&neg).is_err());
+        let rounds = good.replace(
+            "\"cut_rounds\": []",
+            "\"cut_rounds\": [{\"round\": 1, \"warm\": true, \"lp_iters\": 12}]",
+        );
+        assert_eq!(validate_solve_report(&rounds), Ok((1, 1)));
+        let no_warm = rounds.replace("\"warm\": true", "\"warm\": 1");
+        assert!(validate_solve_report(&no_warm)
+            .unwrap_err()
+            .contains("warm"));
+        let negative = rounds.replace("\"lp_iters\": 12", "\"lp_iters\": -1");
+        assert!(validate_solve_report(&negative)
+            .unwrap_err()
+            .contains("lp_iters"));
         let missing = good.replace("\"features\"", "\"featurez\"");
         assert!(validate_solve_report(&missing).is_err());
     }

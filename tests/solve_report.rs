@@ -209,10 +209,10 @@ fn metrics_enabled_runs_are_deterministic() {
 fn gomory_round_zero_root_lp_is_metered() {
     let _l = OBS_LOCK.lock().expect("obs lock");
     // Round 0 of the cut loop solves its root LP through the
-    // tableau-extracting cold solve when Gomory separation is on. That LP
-    // must be metered like every other: the `lp.iters` histogram holds
-    // one observation per LP the loop solved, and its sum is the loop's
-    // own iteration count.
+    // tableau-extracting cold solve when Gomory separation is on; later
+    // rounds re-optimize warm. Every LP must be metered: the `lp.iters`
+    // histogram holds one observation per LP the loop solved, cold or
+    // warm, and its sum is the loop's own iteration count.
     let mut m = Model::new("gomory-metered");
     let x = m.add_integer(0.0, 10.0, -5.0);
     let y = m.add_integer(0.0, 10.0, -4.0);
@@ -241,13 +241,18 @@ fn gomory_round_zero_root_lp_is_metered() {
         iters.sum, out.stats.lp_iterations as f64,
         "metered LP iterations differ from the cut loop's"
     );
-    assert!(
-        matches!(
-            snap.get("lp.cold_solves"),
-            Some(metrics::MetricValue::Counter(n)) if *n == iters.count
-        ),
-        "cold solves and LP observations disagree"
+    let count = |name: &str| match snap.get(name) {
+        Some(metrics::MetricValue::Counter(n)) => *n,
+        None => 0,
+        other => panic!("{name}: {other:?}"),
+    };
+    let (cold, warm) = (count("lp.cold_solves"), count("lp.warm_solves"));
+    assert_eq!(
+        cold + warm,
+        iters.count,
+        "cold and warm solves and LP observations disagree"
     );
+    assert!(cold >= 1, "round 0 solves cold");
     assert!(
         matches!(
             snap.get("lp.factorizations"),
