@@ -311,7 +311,7 @@ pub(crate) fn cover_expression(
     (coeffs, members.len() as f64 - 1.0 - negs as f64)
 }
 
-/// The cold primal solve of a round's LP, with its snapshot. With
+/// The cold solve of a round's LP, with its snapshot. With
 /// `gomory` (round 0 only) it also extracts tableau rows for Gomory
 /// separation, which is rank-1 only: at round 0 the pool is empty and
 /// `work` is the base model, so every certificate multiplier references

@@ -124,6 +124,56 @@ impl PseudoCosts {
     }
 }
 
+/// One link of a node's bound overrides: the `(column, new_lb, new_ub)`
+/// overrides its own branch added (the branch bound and its probing
+/// implications), and the parent's link. Children share their parent's
+/// chain instead of copying it, so an open node holds only its own
+/// overrides.
+#[derive(Debug)]
+struct BoundLink {
+    bounds: Vec<(usize, f64, f64)>,
+    parent: Option<Arc<BoundLink>>,
+}
+
+impl BoundLink {
+    /// A child's chain: its own overrides on top of `parent`'s chain.
+    fn push(parent: &Option<Arc<BoundLink>>, bounds: Vec<(usize, f64, f64)>) -> Option<Arc<Self>> {
+        Some(Arc::new(BoundLink {
+            bounds,
+            parent: parent.clone(),
+        }))
+    }
+
+    /// Tighten root bounds by a chain, the oldest link first and each
+    /// link's overrides in stored order: the order of the flat list of
+    /// the path's overrides, so the result is that list's, bit for bit.
+    fn apply(chain: &Option<Arc<BoundLink>>, lb: &mut [f64], ub: &mut [f64]) {
+        let mut links = Vec::new();
+        let mut next = chain.as_deref();
+        while let Some(link) = next {
+            links.push(link);
+            next = link.parent.as_deref();
+        }
+        for link in links.iter().rev() {
+            for &(j, l, u) in &link.bounds {
+                lb[j] = lb[j].max(l);
+                ub[j] = ub[j].min(u);
+            }
+        }
+    }
+}
+
+impl Drop for BoundLink {
+    /// Drop, one at a time, the ancestors no other chain shares: dropping
+    /// a deep chain recursively could overflow the stack.
+    fn drop(&mut self) {
+        let mut next = self.parent.take();
+        while let Some(link) = next {
+            next = Arc::into_inner(link).and_then(|mut l| l.parent.take());
+        }
+    }
+}
+
 /// A subproblem: bound overrides relative to the root LP plus the
 /// inherited warm-start basis and pseudo-cost table.
 #[derive(Debug, Clone)]
@@ -131,8 +181,8 @@ struct Node {
     /// Deterministic path hash (root = 1; children mix in the branch
     /// direction). Used for dive selection and heap tie-breaking.
     id: u64,
-    /// `(column, new_lb, new_ub)` overrides accumulated along the path.
-    bounds: Vec<(usize, f64, f64)>,
+    /// The overrides accumulated along the path (root: `None`).
+    bounds: Option<Arc<BoundLink>>,
     /// LP bound inherited from the parent (root: -inf).
     bound: f64,
     depth: usize,
@@ -698,17 +748,14 @@ fn process_node(
 ) -> Processed {
     let mut lb = ctx.lp.lb.clone();
     let mut ub = ctx.lp.ub.clone();
-    for &(j, l, u) in &node.bounds {
-        lb[j] = lb[j].max(l);
-        ub[j] = ub[j].min(u);
-    }
+    BoundLink::apply(&node.bounds, &mut lb, &mut ub);
 
     // The root takes the cut loop's solve of its very LP when there is
     // one; the loop has counted its iterations already.
     let mut solved = ctx.root_lp.as_ref().filter(|_| node.depth == 0).cloned();
     let handed_over = solved.is_some();
     // Warm-started dual simplex from the parent basis; any rejection
-    // falls back to a cold primal solve.
+    // falls back to a cold solve.
     if ctx.warm_enabled {
         if let Some(wb) = &node.warm {
             ctx.warm_attempts.fetch_add(1, AtomicOrd::Relaxed);
@@ -849,8 +896,8 @@ fn process_node(
     } else {
         None
     };
-    let mut down_bounds = node.bounds.clone();
-    let mut up_bounds = node.bounds.clone();
+    let mut down_bounds = Vec::new();
+    let mut up_bounds = Vec::new();
     // Conflict-graph strengthening for binary branches. It is a pure
     // function of the node's own contents, so the determinism contract
     // survives: every thread count builds identical children.
@@ -878,7 +925,7 @@ fn process_node(
     let children = vec![
         Node {
             id: child_id(node.id, false),
-            bounds: down_bounds,
+            bounds: BoundLink::push(&node.bounds, down_bounds),
             bound: child_bound,
             depth: node.depth + 1,
             warm: warm_arc.clone(),
@@ -887,7 +934,7 @@ fn process_node(
         },
         Node {
             id: child_id(node.id, true),
-            bounds: up_bounds,
+            bounds: BoundLink::push(&node.bounds, up_bounds),
             bound: child_bound,
             depth: node.depth + 1,
             warm: warm_arc,
@@ -1309,7 +1356,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
     }
     state.heap.push(Ranked(Node {
         id: 1,
-        bounds: Vec::new(),
+        bounds: None,
         bound: f64::NEG_INFINITY,
         depth: 0,
         warm: None,
@@ -1441,4 +1488,75 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
     Ok(finish(
         status, objective, best_bound, values, g.nodes, g.lp_iters, stats,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// On random paths that tighten, loosen, fix and revisit columns,
+    /// with signed zeros and infinite bounds, each of a node's two
+    /// children applies the same lb/ub bits as the flat list of its
+    /// path's overrides.
+    #[test]
+    fn bound_chain_matches_flat_list_on_random_paths() {
+        let mut state = 0xB0DE_C4A1_u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        const VALUES: [f64; 7] = [f64::NEG_INFINITY, -2.0, -0.0, 0.0, 1.0, 3.0, f64::INFINITY];
+        let n = 10;
+        let lb0: Vec<f64> = (0..n)
+            .map(|j| [f64::NEG_INFINITY, -0.0, 0.0][j % 3])
+            .collect();
+        let ub0: Vec<f64> = (0..n).map(|j| [f64::INFINITY, 5.0][j % 2]).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut compared = 0;
+        for _ in 0..200 {
+            let (mut chain, mut flat) = (None, Vec::new());
+            for _ in 0..(next() % 40) {
+                let mut children = Vec::new();
+                for _ in 0..2 {
+                    let own: Vec<(usize, f64, f64)> = (0..next() % 4)
+                        .map(|_| {
+                            let j = (next() % n as u64) as usize;
+                            let l = VALUES[(next() % 7) as usize];
+                            let u = VALUES[(next() % 7) as usize];
+                            (j, l, u)
+                        })
+                        .collect();
+                    let mut path = flat.clone();
+                    path.extend_from_slice(&own);
+                    let child = BoundLink::push(&chain, own);
+                    let (mut lb, mut ub) = (lb0.clone(), ub0.clone());
+                    BoundLink::apply(&child, &mut lb, &mut ub);
+                    let (mut flat_lb, mut flat_ub) = (lb0.clone(), ub0.clone());
+                    for &(j, l, u) in &path {
+                        flat_lb[j] = flat_lb[j].max(l);
+                        flat_ub[j] = flat_ub[j].min(u);
+                    }
+                    assert_eq!(bits(&lb), bits(&flat_lb));
+                    assert_eq!(bits(&ub), bits(&flat_ub));
+                    compared += 1;
+                    children.push((child, path));
+                }
+                (chain, flat) = children.swap_remove((next() % 2) as usize);
+            }
+        }
+        assert!(compared > 2000, "only {compared} children compared");
+    }
+
+    /// A chain far deeper than any search tree drops without recursing
+    /// once per link, which would overflow a test thread's stack.
+    #[test]
+    fn deep_bound_chain_drops_iteratively() {
+        let mut chain = None;
+        for _ in 0..200_000 {
+            chain = BoundLink::push(&chain, Vec::new());
+        }
+        drop(chain);
+    }
 }

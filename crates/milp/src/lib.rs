@@ -1,9 +1,10 @@
 //! # pipemap-milp
 //!
 //! A self-contained mixed-integer linear programming solver: a sparse
-//! revised primal simplex (bounded variables, two-phase start, LU basis
-//! factorization with product-form updates) driven by best-bound branch &
-//! bound.
+//! revised simplex (bounded variables; the dual simplex from the
+//! all-slack basis or a warm basis, a two-phase primal for cold LPs the
+//! dual cannot start; LU basis factorization with product-form updates)
+//! driven by best-bound branch & bound.
 //!
 //! This crate is the stand-in for IBM ILOG CPLEX in the DAC'15 paper's
 //! flow. It supports the features the paper's formulation needs:

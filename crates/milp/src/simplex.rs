@@ -1,12 +1,21 @@
-//! Bounded-variable revised simplex: primal with a two-phase start, plus a
-//! dual-simplex reoptimizer for warm starts.
+//! Bounded-variable revised simplex: a dual simplex that solves cold LPs
+//! from the all-slack basis and re-optimizes warm starts, plus a
+//! two-phase primal for cold LPs the dual cannot start.
 //!
 //! Computational form: every model row `aᵀx {≤,=,≥} b` becomes
 //! `aᵀx + s = b` with a sign-constrained slack, so the constraint matrix is
-//! `[A | I]` and the initial all-slack basis is the identity. Rows whose
-//! slack bound is violated at the initial point get an *artificial*
-//! variable; phase 1 minimizes the total artificial magnitude, phase 2 the
-//! real objective.
+//! `[A | I]` and the initial all-slack basis is the identity.
+//!
+//! **Cold starts.** A cold solve puts every structural column at a bound
+//! and every slack in the basis. When no structural column is free and
+//! no cost has the wrong sign for the bound its column sits at, that
+//! basis is dual feasible (y = 0, so d = c), and the dual loop of the
+//! warm starts below solves the LP from it, whatever slack bounds it
+//! violates (Koberstein 2005; CPLEX solves MIP relaxations this way by
+//! default). Otherwise, or when the dual loop gives up short of the
+//! deadline, the two-phase primal solves the LP: rows whose slack bound
+//! is violated at the initial point get an *artificial* variable; phase 1
+//! minimizes the total artificial magnitude, phase 2 the real objective.
 //!
 //! **Warm starts.** Branch & bound tightens a single variable bound per
 //! node, which leaves the parent's optimal basis *dual*-feasible (reduced
@@ -17,7 +26,7 @@
 //! numerically doubtful situation — stale snapshot, singular refactorize,
 //! stalled dual loop, near-zero pivot disagreement — returns
 //! [`LpAbort::Singular`], which callers treat as "fall back to a cold
-//! primal solve"; correctness never depends on the warm path.
+//! solve"; correctness never depends on the warm path.
 //!
 //! **Pricing from the nonzeros** (Hall & McKinnon, "Hyper-sparsity in the
 //! revised simplex method", 2005). [`LpProblem`] keeps a row-major copy
@@ -223,8 +232,10 @@ impl LpProblem {
         self.solve_primal(lb, ub, deadline).map(|(s, _)| s)
     }
 
-    /// Cold two-phase primal solve; also returns a basis snapshot suitable
-    /// for warm-starting child solves when the LP reached optimality.
+    /// Cold solve (see [`Self::solve_cold`]: the dual simplex from the
+    /// all-slack basis, the two-phase primal when that basis is no dual
+    /// start); also returns a basis snapshot suitable for warm-starting
+    /// child solves when the LP reached optimality.
     pub fn solve_primal(
         &self,
         lb: &[f64],
@@ -240,9 +251,10 @@ impl LpProblem {
     /// [`Self::solve_primal`] that additionally captures simplex-tableau
     /// rows for fractional candidate columns — the raw material for Gomory
     /// mixed-integer separation. The rows are read from the optimal basis
-    /// before the artificials are pivoted out; the snapshot after, so it
-    /// is the one `solve_primal` returns. Both are `None` unless the solve
-    /// reached optimality.
+    /// the cold solve ends with, dual start or two-phase primal, before
+    /// any artificials of the primal are pivoted out; the snapshot after,
+    /// so it is the one `solve_primal` returns. Both are `None` unless the
+    /// solve reached optimality.
     pub fn solve_primal_tableau(
         &self,
         lb: &[f64],
@@ -317,11 +329,14 @@ impl LpProblem {
         }
     }
 
-    /// The one cold two-phase primal solve: a singular basis restarts from
-    /// scratch with diversified pricing (perturbed first, Bland's rule
-    /// last) up to five times. On optimality `extract` reads what the
-    /// caller needs from the final worker. Every exit records its `lp.*`
-    /// metrics, retries included.
+    /// The one cold solve. It starts from the all-slack basis with the
+    /// dual loop of the warm starts ([`Self::dual_cold_start`]). When
+    /// that basis is no dual start (a free structural column, a cost of
+    /// the wrong sign for its bound) or the dual loop aborts short of the
+    /// deadline, the two-phase primal solves the LP instead and the solve
+    /// counts in `lp.primal_fallbacks`. On optimality `extract` reads what
+    /// the caller needs from the final worker. Every exit records its
+    /// `lp.*` metrics, the dual start's LU work included.
     fn solve_cold<T>(
         &self,
         lb: &[f64],
@@ -329,39 +344,70 @@ impl LpProblem {
         deadline: Option<Instant>,
         extract: impl FnOnce(&mut Worker<'_>) -> Option<T>,
     ) -> Result<(LpSolution, Option<T>), LpAbort> {
-        self.solve_cold_metered(lb, ub, deadline, lp_metrics_start(), extract)
+        let t0 = lp_metrics_start();
+        let mut lu = FactorTally::default();
+        let dual = self.dual_cold_start(lb, ub, deadline);
+        let fallback = !matches!(dual, Some((_, Ok(_) | Err(LpAbort::Timeout))));
+        if t0.is_some() {
+            metrics::counter("lp.primal_fallbacks").add(u64::from(fallback));
+        }
+        match dual {
+            Some((mut w, Ok(sol))) => return Ok(w.complete_cold(sol, t0, lu, extract)),
+            Some((w, Err(e))) => {
+                lu.add(w.lu);
+                if e == LpAbort::Timeout {
+                    lp_metrics_record(t0, lu, LpEnd::Aborted);
+                    return Err(e);
+                }
+            }
+            None => {}
+        }
+        self.solve_two_phase(lb, ub, deadline, t0, lu, extract)
     }
 
-    /// [`Self::solve_cold`] metered from `t0`: `None` records nothing.
-    fn solve_cold_metered<T>(
+    /// Factor the all-slack basis and, when it is dual feasible, run
+    /// [`Worker::run_dual`] from it: the dual loop, then the primal
+    /// cleanup on fresh duals that certifies optimality. `None` when a
+    /// structural column is free; a basis that is not dual feasible is
+    /// `Err(LpAbort::Singular)`, as a refused warm start is.
+    fn dual_cold_start(
+        &self,
+        lb: &[f64],
+        ub: &[f64],
+        deadline: Option<Instant>,
+    ) -> Option<(Worker<'_>, Result<LpSolution, LpAbort>)> {
+        let mut w = Worker::slack_basis(self, lb, ub)?;
+        let res = w.refactor().and_then(|()| {
+            if w.dual_feasible(1e-6) {
+                w.run_dual(deadline)
+            } else {
+                Err(LpAbort::Singular)
+            }
+        });
+        Some((w, res))
+    }
+
+    /// The two-phase primal from the slack basis with artificials: a
+    /// singular basis restarts from scratch with diversified pricing
+    /// (perturbed first, Bland's rule last) up to five times. Metered
+    /// from `t0` (`None` records nothing) on top of the LU work `lu`
+    /// already done; `extract` as in [`Self::solve_cold`].
+    fn solve_two_phase<T>(
         &self,
         lb: &[f64],
         ub: &[f64],
         deadline: Option<Instant>,
         t0: Option<Instant>,
+        mut lu: FactorTally,
         extract: impl FnOnce(&mut Worker<'_>) -> Option<T>,
     ) -> Result<(LpSolution, Option<T>), LpAbort> {
-        let mut lu = FactorTally::default();
         for attempt in 0..5 {
             let mut w = Worker::new(self, lb, ub);
             w.price_seed = attempt as u64;
             w.always_bland = attempt >= 3;
             match w.run(deadline) {
                 Err(LpAbort::Singular) => lu.add(w.lu),
-                Ok(sol) => {
-                    let extra = if sol.status == LpStatus::Optimal {
-                        extract(&mut w)
-                    } else {
-                        None
-                    };
-                    lu.add(w.lu);
-                    let end = LpEnd::Completed {
-                        iters: sol.iters,
-                        warm: false,
-                    };
-                    lp_metrics_record(t0, lu, end);
-                    return Ok((sol, extra));
-                }
+                Ok(sol) => return Ok(w.complete_cold(sol, t0, lu, extract)),
                 Err(e) => {
                     lu.add(w.lu);
                     lp_metrics_record(t0, lu, LpEnd::Aborted);
@@ -373,10 +419,13 @@ impl LpProblem {
         Err(LpAbort::Numerical("repeated singular bases".into()))
     }
 
-    /// A cold primal solve that records no `lp.*` metrics, for debug
-    /// cross-checks that must not show in the counts they check.
+    /// A cold two-phase primal solve that records no `lp.*` metrics, for
+    /// debug cross-checks that must not show in the counts they check.
+    /// It never takes the dual start, so a check of a dual re-solve
+    /// against it does not lean on the loop it checks.
     pub fn solve_primal_unmetered(&self) -> Result<LpSolution, LpAbort> {
-        self.solve_cold_metered(&self.lb, &self.ub, None, None, |_| None::<()>)
+        let lu = FactorTally::default();
+        self.solve_two_phase(&self.lb, &self.ub, None, None, lu, |_| None::<()>)
             .map(|(s, _)| s)
     }
 }
@@ -385,14 +434,79 @@ impl LpProblem {
 /// an optimal LP solve (structural + slack columns; never artificials).
 ///
 /// Cheap to clone and `Send + Sync`, so branch & bound keeps one per node
-/// behind an `Arc` and warm-starts children from any worker thread.
+/// behind an `Arc` and warm-starts children from any worker thread. It
+/// is stored compactly, one byte per column and four per row, because
+/// every expanded node keeps one: a basic column's position is its
+/// index in `basis`, so `status` only says basic, at lower or at upper.
 #[derive(Debug, Clone)]
 pub(crate) struct WarmBasis {
-    status: Vec<VStat>,
-    basis: Vec<usize>,
+    /// One of [`SNAP_BASIC`], [`SNAP_LOWER`], [`SNAP_UPPER`] per column.
+    status: Vec<u8>,
+    basis: Vec<u32>,
 }
 
+/// [`WarmBasis`] status codes.
+const SNAP_BASIC: u8 = 0;
+const SNAP_LOWER: u8 = 1;
+const SNAP_UPPER: u8 = 2;
+
 impl WarmBasis {
+    /// Pack a basis; `None` when a column index does not fit in `u32`.
+    fn pack(status: &[VStat], basis: &[usize]) -> Option<WarmBasis> {
+        u32::try_from(status.len()).ok()?;
+        let status = status
+            .iter()
+            .map(|st| match st {
+                VStat::Basic(_) => SNAP_BASIC,
+                VStat::AtLower => SNAP_LOWER,
+                VStat::AtUpper => SNAP_UPPER,
+            })
+            .collect();
+        let basis = basis.iter().map(|&j| j as u32).collect();
+        Some(WarmBasis { status, basis })
+    }
+
+    /// Unpack for an LP with `n` columns and `m` rows. `None` unless the
+    /// dimensions match, every status code is known, every basis column
+    /// is in range, basic and listed once, and every basic column is in
+    /// the basis.
+    fn unpack(&self, n: usize, m: usize) -> Option<(Vec<VStat>, Vec<usize>)> {
+        if self.status.len() != n || self.basis.len() != m {
+            return None;
+        }
+        let mut status = self
+            .status
+            .iter()
+            .map(|&code| match code {
+                SNAP_LOWER => Some(VStat::AtLower),
+                SNAP_UPPER => Some(VStat::AtUpper),
+                // Placed by the basis loop below.
+                SNAP_BASIC => Some(VStat::Basic(usize::MAX)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let mut basis = Vec::with_capacity(m);
+        for (pos, &j) in self.basis.iter().enumerate() {
+            let j = j as usize;
+            match status.get_mut(j)? {
+                st @ VStat::Basic(usize::MAX) => *st = VStat::Basic(pos),
+                _ => return None,
+            }
+            basis.push(j);
+        }
+        // A basic code no basis entry placed.
+        if status.contains(&VStat::Basic(usize::MAX)) {
+            return None;
+        }
+        Some((status, basis))
+    }
+
+    /// Is column `j` basic in this snapshot?
+    #[cfg(test)]
+    fn is_basic(&self, j: usize) -> bool {
+        self.status[j] == SNAP_BASIC
+    }
+
     /// Re-index this snapshot for an LP with the same structural columns
     /// and a new row list: `rows[i]` is `Some(k)` when new row `i` is old
     /// row `k`, `None` when it is a new row. Kept rows keep their slack's
@@ -409,6 +523,7 @@ impl WarmBasis {
     pub fn remap_rows(&self, rows: &[Option<usize>]) -> Option<WarmBasis> {
         let m_old = self.basis.len();
         let n = self.status.len() - m_old;
+        u32::try_from(n + rows.len()).ok()?;
         let mut new_row = vec![None; m_old];
         for (i, &k) in rows.iter().enumerate() {
             if let Some(k) = k {
@@ -420,32 +535,29 @@ impl WarmBasis {
         let dropped_nonbasic = new_row
             .iter()
             .enumerate()
-            .any(|(k, r)| r.is_none() && !matches!(self.status[n + k], VStat::Basic(_)));
+            .any(|(k, r)| r.is_none() && self.status[n + k] != SNAP_BASIC);
         if dropped_nonbasic {
             return None;
         }
         let mut status = self.status[..n].to_vec();
         status.extend(rows.iter().map(|&k| match k {
             Some(k) => self.status[n + k],
-            None => VStat::Basic(0),
+            None => SNAP_BASIC,
         }));
-        let mut basis: Vec<usize> = self
+        let mut basis: Vec<u32> = self
             .basis
             .iter()
-            .filter_map(|&j| match j.checked_sub(n) {
+            .filter_map(|&j| match (j as usize).checked_sub(n) {
                 None => Some(j),
-                Some(k) => new_row[k].map(|i| n + i),
+                Some(k) => new_row[k].map(|i| (n + i) as u32),
             })
             .collect();
         basis.extend(
             rows.iter()
                 .enumerate()
                 .filter(|(_, k)| k.is_none())
-                .map(|(i, _)| n + i),
+                .map(|(i, _)| (n + i) as u32),
         );
-        for (pos, &j) in basis.iter().enumerate() {
-            status[j] = VStat::Basic(pos);
-        }
         debug_assert_eq!(basis.len(), rows.len());
         Some(WarmBasis { status, basis })
     }
@@ -855,6 +967,30 @@ impl<'a> Worker<'a> {
         self.in_phase1 = false;
     }
 
+    /// Close a completed cold solve: on optimality `extract` reads this
+    /// worker, then the solve records its metrics with this worker's LU
+    /// work added to `lu`.
+    fn complete_cold<T>(
+        &mut self,
+        sol: LpSolution,
+        t0: Option<Instant>,
+        mut lu: FactorTally,
+        extract: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> (LpSolution, Option<T>) {
+        let extra = if sol.status == LpStatus::Optimal {
+            extract(self)
+        } else {
+            None
+        };
+        lu.add(self.lu);
+        let end = LpEnd::Completed {
+            iters: sol.iters,
+            warm: false,
+        };
+        lp_metrics_record(t0, lu, end);
+        (sol, extra)
+    }
+
     fn run(&mut self, deadline: Option<Instant>) -> Result<LpSolution, LpAbort> {
         if !self.art_cols.is_empty() {
             self.set_phase1_costs();
@@ -998,10 +1134,7 @@ impl<'a> Worker<'a> {
         if self.basis.iter().any(|&j| j >= n) {
             return None;
         }
-        Some(WarmBasis {
-            status: self.status[..n].to_vec(),
-            basis: self.basis.clone(),
-        })
+        WarmBasis::pack(&self.status[..n], &self.basis)
     }
 
     /// Extract tableau rows for basic candidate columns with fractional
@@ -1056,6 +1189,60 @@ impl<'a> Worker<'a> {
         Some(TableauData { status, rows })
     }
 
+    /// An unfactored phase-2 worker on the all-slack basis: every
+    /// structural column nonbasic at its lower bound, or at its upper
+    /// bound when the lower is −∞, and every slack basic. Its x_B, which
+    /// the factorization computes, is b − N x_N and may violate slack
+    /// bounds; that is the dual loop's to repair. `None` when a
+    /// structural column is free, which a dual start cannot place.
+    fn slack_basis(p: &'a LpProblem, lb_in: &[f64], ub_in: &[f64]) -> Option<Self> {
+        let n = p.n_struct + p.m;
+        let mut status = Vec::with_capacity(n);
+        for j in 0..p.n_struct {
+            status.push(if lb_in[j].is_finite() {
+                VStat::AtLower
+            } else if ub_in[j].is_finite() {
+                VStat::AtUpper
+            } else {
+                return None;
+            });
+        }
+        status.extend((0..p.m).map(VStat::Basic));
+        let basis = (p.n_struct..n).collect();
+        Some(Self::with_basis(p, lb_in, ub_in, status, basis))
+    }
+
+    /// An unfactored phase-2 worker on a given basis, without artificials.
+    fn with_basis(
+        p: &'a LpProblem,
+        lb_in: &[f64],
+        ub_in: &[f64],
+        status: Vec<VStat>,
+        basis: Vec<usize>,
+    ) -> Self {
+        let mut w = Worker {
+            p,
+            lb: lb_in.to_vec(),
+            ub: ub_in.to_vec(),
+            cost: vec![0.0; p.n_struct + p.m],
+            art_cols: Vec::new(),
+            status,
+            basis,
+            x_basic: vec![0.0; p.m],
+            factors: Factors::default(),
+            lu: FactorTally::default(),
+            iters: 0,
+            stall: 0,
+            bland: false,
+            always_bland: false,
+            price_seed: 0,
+            in_phase1: false,
+            price: PriceScratch::lend(),
+        };
+        w.set_phase2_costs();
+        w
+    }
+
     /// Rebuild an unfactored worker from a parent snapshot under (possibly
     /// tightened) bounds. Validates the snapshot against the problem
     /// dimensions and normalizes nonbasic statuses whose bound went away;
@@ -1066,19 +1253,10 @@ impl<'a> Worker<'a> {
         ub_in: &[f64],
         warm: &WarmBasis,
     ) -> Option<Self> {
-        let m = p.m;
-        let n = p.n_struct + m;
-        if warm.status.len() != n || warm.basis.len() != m {
-            return None;
-        }
-        let mut status = warm.status.clone();
+        let (mut status, basis) = warm.unpack(p.n_struct + p.m, p.m)?;
         for (j, st) in status.iter_mut().enumerate() {
             match *st {
-                VStat::Basic(pos) => {
-                    if pos >= m || warm.basis[pos] != j {
-                        return None;
-                    }
-                }
+                VStat::Basic(_) => {}
                 VStat::AtLower => {
                     // `nb_value` evaluates AtLower with an infinite lower
                     // bound at the *upper* bound; make the status say so.
@@ -1097,32 +1275,7 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        for (pos, &j) in warm.basis.iter().enumerate() {
-            if j >= n || !matches!(status[j], VStat::Basic(bp) if bp == pos) {
-                return None;
-            }
-        }
-        let mut w = Worker {
-            p,
-            lb: lb_in.to_vec(),
-            ub: ub_in.to_vec(),
-            cost: vec![0.0; n],
-            art_cols: Vec::new(),
-            status,
-            basis: warm.basis.clone(),
-            x_basic: vec![0.0; m],
-            factors: Factors::default(),
-            lu: FactorTally::default(),
-            iters: 0,
-            stall: 0,
-            bland: false,
-            always_bland: false,
-            price_seed: 0,
-            in_phase1: false,
-            price: PriceScratch::lend(),
-        };
-        w.set_phase2_costs();
-        Some(w)
+        Some(Self::with_basis(p, lb_in, ub_in, status, basis))
     }
 
     /// Factor a worker built by [`Worker::from_basis`] and compute x_B.
@@ -1689,7 +1842,7 @@ enum DualOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LinExpr, Model, Sense};
+    use crate::model::{LinExpr, Model, Sense, VarId};
 
     fn lp(model: &Model) -> LpSolution {
         LpProblem::from_model(model).solve().expect("lp solves")
@@ -1711,6 +1864,9 @@ mod tests {
         assert!(s.x[1].abs() < 1e-6);
     }
 
+    /// The two-phase primal itself. The optimal set is the segment
+    /// x + y = 3, x ∈ [2, 3]; the primal ends at its vertex (2, 1), the
+    /// dual start of a cold solve at another optimum.
     #[test]
     fn ge_rows_need_phase1() {
         // min x + y s.t. x + y >= 3, x - y >= 1, 0 <= x,y <= 10.
@@ -1720,7 +1876,9 @@ mod tests {
         let y = m.add_continuous(0.0, 10.0, 1.0);
         m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Sense::Ge, 3.0);
         m.add_constraint(LinExpr::from(x) - LinExpr::from(y), Sense::Ge, 1.0);
-        let s = lp(&m);
+        let s = LpProblem::from_model(&m)
+            .solve_primal_unmetered()
+            .expect("lp solves");
         assert_eq!(s.status, LpStatus::Optimal);
         assert!((s.obj - 3.0).abs() < 1e-6, "obj {}", s.obj);
         assert!((s.x[0] - 2.0).abs() < 1e-6, "x {}", s.x[0]);
@@ -1801,10 +1959,9 @@ mod tests {
         assert!((s.obj - -2.0).abs() < 1e-6);
     }
 
-    /// Optimality certificate on random LPs: primal feasibility plus
-    /// reduced-cost sign conditions computed from the returned duals.
-    #[test]
-    fn random_lps_satisfy_optimality_certificate() {
+    /// Sixty small random LPs with bounded columns and mixed row senses;
+    /// some are infeasible.
+    fn random_certificate_lps() -> Vec<Model> {
         let mut state = 0xDEAD_BEEF_u64;
         let mut next = move || {
             state ^= state >> 12;
@@ -1812,35 +1969,70 @@ mod tests {
             state ^= state >> 27;
             state.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        let mut optimal_count = 0;
-        for _ in 0..60 {
-            let n = 2 + (next() % 5) as usize;
-            let rows = 1 + (next() % 6) as usize;
-            let mut m = Model::new("rand");
-            let vars: Vec<_> = (0..n)
-                .map(|_| {
-                    let lo = (next() % 5) as f64 - 2.0;
-                    let hi = lo + 1.0 + (next() % 6) as f64;
-                    let c = (next() % 9) as f64 - 4.0;
-                    m.add_continuous(lo, hi, c)
-                })
-                .collect();
-            for _ in 0..rows {
-                let mut e = LinExpr::new();
-                for &v in &vars {
-                    let c = (next() % 7) as f64 - 3.0;
-                    if c != 0.0 {
-                        e.add_term(c, v);
+        (0..60)
+            .map(|_| {
+                let n = 2 + (next() % 5) as usize;
+                let rows = 1 + (next() % 6) as usize;
+                let mut m = Model::new("rand");
+                let vars: Vec<_> = (0..n)
+                    .map(|_| {
+                        let lo = (next() % 5) as f64 - 2.0;
+                        let hi = lo + 1.0 + (next() % 6) as f64;
+                        let c = (next() % 9) as f64 - 4.0;
+                        m.add_continuous(lo, hi, c)
+                    })
+                    .collect();
+                for _ in 0..rows {
+                    let mut e = LinExpr::new();
+                    for &v in &vars {
+                        let c = (next() % 7) as f64 - 3.0;
+                        if c != 0.0 {
+                            e.add_term(c, v);
+                        }
                     }
+                    let sense = match next() % 3 {
+                        0 => Sense::Le,
+                        1 => Sense::Ge,
+                        _ => Sense::Eq,
+                    };
+                    let rhs = (next() % 11) as f64 - 5.0;
+                    m.add_constraint(e, sense, rhs);
                 }
-                let sense = match next() % 3 {
-                    0 => Sense::Le,
-                    1 => Sense::Ge,
-                    _ => Sense::Eq,
-                };
-                let rhs = (next() % 11) as f64 - 5.0;
-                m.add_constraint(e, sense, rhs);
+                m
+            })
+            .collect()
+    }
+
+    /// Primal feasibility of an optimal solution plus the reduced-cost
+    /// sign conditions computed from the duals `y` of its final basis.
+    fn assert_optimality_certificate(m: &Model, p: &LpProblem, s: &LpSolution, y: &[f64]) {
+        // Primal feasibility.
+        assert!(
+            m.check_feasible(&s.x, 1e-5).is_none(),
+            "infeasible 'optimal' point"
+        );
+        // Reduced-cost conditions for structural variables.
+        for j in 0..m.num_vars() {
+            let d: f64 = m.cols[j].obj - p.cols[j].iter().map(|&(r, c)| c * y[r]).sum::<f64>();
+            let (lo, hi) = m.bounds(VarId::from_index(j));
+            let at_lower = (s.x[j] - lo).abs() < 1e-5;
+            let at_upper = (s.x[j] - hi).abs() < 1e-5;
+            if !at_lower && !at_upper {
+                assert!(d.abs() < 1e-5, "interior var with nonzero reduced cost {d}");
+            } else if at_lower && !at_upper {
+                assert!(d > -1e-5, "at lower bound with improving direction {d}");
+            } else if at_upper && !at_lower {
+                assert!(d < 1e-5, "at upper bound with improving direction {d}");
             }
+        }
+    }
+
+    /// Optimality certificate on random LPs: primal feasibility plus
+    /// reduced-cost sign conditions computed from the returned duals.
+    #[test]
+    fn random_lps_satisfy_optimality_certificate() {
+        let mut optimal_count = 0;
+        for m in random_certificate_lps() {
             let p = LpProblem::from_model(&m);
             // The duals of the final basis, read from the solving worker.
             let (s, y) = p
@@ -1855,30 +2047,110 @@ mod tests {
             }
             let y = y.expect("optimal solves report duals");
             optimal_count += 1;
-            // Primal feasibility.
-            assert!(
-                m.check_feasible(&s.x, 1e-5).is_none(),
-                "infeasible 'optimal' point"
-            );
-            // Reduced-cost conditions for structural variables.
-            for (j, &v) in vars.iter().enumerate() {
-                let d: f64 = m.cols[j].obj - p.cols[j].iter().map(|&(r, c)| c * y[r]).sum::<f64>();
-                let (lo, hi) = m.bounds(v);
-                let at_lower = (s.x[j] - lo).abs() < 1e-5;
-                let at_upper = (s.x[j] - hi).abs() < 1e-5;
-                if !at_lower && !at_upper {
-                    assert!(d.abs() < 1e-5, "interior var with nonzero reduced cost {d}");
-                } else if at_lower && !at_upper {
-                    assert!(d > -1e-5, "at lower bound with improving direction {d}");
-                } else if at_upper && !at_lower {
-                    assert!(d < 1e-5, "at upper bound with improving direction {d}");
-                }
-            }
+            assert_optimality_certificate(&m, &p, &s, &y);
         }
         assert!(
             optimal_count > 10,
             "too few optimal instances to be meaningful"
         );
+    }
+
+    /// The dual start of a cold solve against the two-phase primal over
+    /// the LPs of `random_lps_satisfy_optimality_certificate`, infeasible
+    /// ones included. Each LP is first mirrored so that its slack basis
+    /// is dual feasible: a column with a negative cost becomes x' = −x
+    /// (cost, coefficients and bounds negated), which keeps the status
+    /// and the optimal value. The dual start must then never refuse, end
+    /// with the primal's status and, when optimal, its objective within
+    /// 1e-9 relative, on a basis whose duals certify optimality.
+    #[test]
+    fn dual_start_matches_two_phase_primal_on_random_lps() {
+        let (mut optimal, mut infeasible) = (0, 0);
+        for (trial, mut m) in random_certificate_lps().into_iter().enumerate() {
+            for j in 0..m.num_vars() {
+                let c = &mut m.cols[j];
+                if c.obj < 0.0 {
+                    (c.obj, c.lb, c.ub) = (-c.obj, -c.ub, -c.lb);
+                    for row in &mut m.rows {
+                        for (v, a) in &mut row.coeffs {
+                            if v.index() == j {
+                                *a = -*a;
+                            }
+                        }
+                    }
+                }
+            }
+            let p = LpProblem::from_model(&m);
+            let primal = p.solve_primal_unmetered().expect("two-phase primal solves");
+            let Some((w, Ok(s))) = p.dual_cold_start(&p.lb, &p.ub, None) else {
+                panic!("trial {trial}: the dual start refused");
+            };
+            assert_eq!(s.status, primal.status, "trial {trial}");
+            match s.status {
+                LpStatus::Optimal => {
+                    assert!(
+                        (s.obj - primal.obj).abs() <= 1e-9 * primal.obj.abs().max(1.0),
+                        "trial {trial}: dual start {} vs primal {}",
+                        s.obj,
+                        primal.obj
+                    );
+                    let mut y = Vec::new();
+                    w.duals_into(&mut y);
+                    assert_optimality_certificate(&m, &p, &s, &y);
+                    optimal += 1;
+                }
+                LpStatus::Infeasible => infeasible += 1,
+                LpStatus::Unbounded => panic!("trial {trial}: every column is bounded"),
+            }
+        }
+        assert!(optimal > 10, "only {optimal} optimal LPs compared");
+        assert!(infeasible > 5, "only {infeasible} infeasible LPs compared");
+    }
+
+    /// A snapshot read back through `from_basis` under the bounds it was
+    /// taken with gives the solving worker's statuses and basis, and the
+    /// worker it rebuilds factors to the same point.
+    #[test]
+    fn warm_basis_round_trips_through_from_basis() {
+        let mut rounds = 0;
+        for m in random_certificate_lps() {
+            let p = LpProblem::from_model(&m);
+            // Statuses past the structural and slack columns belong to
+            // artificials of the two-phase primal.
+            let n = p.n_struct + p.m;
+            let Ok((s, Some((snap, status, basis)))) = p.solve_cold(&p.lb, &p.ub, None, |w| {
+                let snap = w.snapshot()?;
+                Some((snap, w.status[..n].to_vec(), w.basis.clone()))
+            }) else {
+                continue;
+            };
+            let mut w = Worker::from_basis(&p, &p.lb, &p.ub, &snap).expect("snapshot fits");
+            assert_eq!((&w.status, &w.basis), (&status, &basis));
+            w.factor_warm(None).expect("an optimal basis factors");
+            let again = w.finish(LpStatus::Optimal);
+            for (a, b) in again.x.iter().zip(&s.x) {
+                assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "x {a} vs {b}");
+            }
+            // A snapshot of other dimensions, or with a column listed
+            // twice in its basis, does not fit.
+            assert!(Worker::from_basis(
+                &p,
+                &p.lb,
+                &p.ub,
+                &WarmBasis {
+                    status: snap.status[1..].to_vec(),
+                    basis: snap.basis.clone(),
+                }
+            )
+            .is_none());
+            if p.m >= 2 {
+                let mut twice = snap.clone();
+                twice.basis[1] = twice.basis[0];
+                assert!(Worker::from_basis(&p, &p.lb, &p.ub, &twice).is_none());
+            }
+            rounds += 1;
+        }
+        assert!(rounds > 10, "only {rounds} snapshots read back");
     }
 
     #[test]
@@ -2256,24 +2528,27 @@ mod tests {
     fn remap_rows_keeps_drops_and_adds_rows() {
         // Two structural columns, three rows: x0 basic, x1 at its lower
         // bound; slack 0 at its bound, slacks 1 and 2 basic.
-        let snap = WarmBasis {
-            status: vec![
+        let snap = WarmBasis::pack(
+            &[
                 VStat::Basic(1),
                 VStat::AtLower,
                 VStat::AtUpper,
                 VStat::Basic(0),
                 VStat::Basic(2),
             ],
-            basis: vec![3, 0, 4],
-        };
+            &[3, 0, 4],
+        )
+        .expect("small");
+        let unpack = |w: &WarmBasis| w.unpack(5, 3).expect("a consistent snapshot");
         // New rows: old row 2, old row 0, a new row; old row 1 is dropped.
         let mapped = snap
             .remap_rows(&[Some(2), Some(0), None])
             .expect("the dropped row's slack is basic");
-        assert_eq!(mapped.basis, vec![0, 2, 4]);
-        assert_eq!(mapped.basis.len(), 3, "one basic column per new row");
+        let (status, basis) = unpack(&mapped);
+        assert_eq!(basis, vec![0, 2, 4]);
+        assert_eq!(basis.len(), 3, "one basic column per new row");
         assert_eq!(
-            mapped.status,
+            status,
             vec![
                 VStat::Basic(0),
                 VStat::AtLower,
@@ -2286,10 +2561,7 @@ mod tests {
         let same = snap
             .remap_rows(&[Some(0), Some(1), Some(2)])
             .expect("identity");
-        assert_eq!(
-            (same.status, same.basis),
-            (snap.status.clone(), snap.basis.clone())
-        );
+        assert_eq!(unpack(&same), unpack(&snap));
         // Dropping row 0, whose slack is nonbasic, cannot keep the basis.
         assert!(snap.remap_rows(&[Some(1), Some(2)]).is_none());
         // Rows must map one to one into the snapshot's rows.
@@ -2350,7 +2622,7 @@ mod tests {
                 continue;
             }
             // Drop the first row whose slack is basic, if any.
-            let drop = (0..rows).find(|&i| matches!(snap.status[n + i], VStat::Basic(_)));
+            let drop = (0..rows).find(|&i| snap.is_basic(n + i));
             let mut cut_model = m.clone();
             let mut map: Vec<Option<usize>> = (0..rows).map(Some).collect();
             if let Some(i) = drop {

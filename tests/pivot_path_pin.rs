@@ -89,12 +89,12 @@ fn fingerprint(nodes: usize, iters: usize, objective: f64, bound: f64) -> (usize
     (nodes, iters, objective.to_bits(), bound.to_bits())
 }
 
-const GSM_NODES: usize = 161;
-const GSM_LP_ITERS: usize = 1155;
+const GSM_NODES: usize = 255;
+const GSM_LP_ITERS: usize = 1946;
 const GSM_OBJECTIVE: f64 = 56.5;
 const GSM_BOUND: f64 = 56.5;
 // The budget stops the search before any incumbent is found.
 const GFMUL_NODES: usize = 30;
-const GFMUL_LP_ITERS: usize = 1871;
+const GFMUL_LP_ITERS: usize = 2302;
 const GFMUL_OBJECTIVE: f64 = f64::INFINITY;
 const GFMUL_BOUND: f64 = 18.5;
