@@ -33,14 +33,6 @@ impl Stamp {
             self
         }
     }
-
-    fn min(self, other: Stamp) -> Stamp {
-        if (other.cycle, other.time) < (self.cycle, self.time) {
-            other
-        } else {
-            self
-        }
-    }
 }
 
 /// Delay local to an op's final cycle (its full delay minus whole cycles).
@@ -217,12 +209,6 @@ pub(crate) fn alap_optimistic(dfg: &Dfg, target: &Target, m: u32, absorbable: &[
     dfg.node_ids()
         .map(|v| (m - 1).saturating_sub(down[v.index()].cycle.min(m - 1)))
         .collect()
-}
-
-/// Minimum over the consumers graph — helper for tests.
-#[allow(dead_code)]
-pub(crate) fn stamp_min(a: Stamp, b: Stamp) -> Stamp {
-    a.min(b)
 }
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //!    fanout-free cones of [`pipemap_cuts::analysis::MffcDb`]: each
 //!    region is a subtree of the post-dominator tree (a cone whose
 //!    interior is consumed only through its root), grown breadth-first
-//!    and capped at [`DecomposeConfig::max_region`] nodes. Cones are the
-//!    natural unit here because re-covering a cone never forces
-//!    duplication elsewhere — exactly the property that makes a region
-//!    solvable in isolation.
+//!    and capped at [`MAX_REGION`] nodes. Cones are the natural unit
+//!    here because re-covering a cone never forces duplication
+//!    elsewhere — exactly the property that makes a region solvable in
+//!    isolation.
 //! 2. **Feedback.** Regions are ordered by the *LP fractionality* of
 //!    their integer variables at the root relaxation: a region whose
 //!    one-hot schedule and cut selectors are already integral has
@@ -44,39 +44,17 @@ use pipemap_obs as obs;
 
 use crate::formulation::Formulation;
 
-/// Knobs of the decomposition pass.
-#[derive(Debug, Clone)]
-pub(crate) struct DecomposeConfig {
-    /// Maximum nodes per region (cone subtree truncated breadth-first).
-    pub max_region: usize,
-    /// Minimum LUT-mappable nodes for a region to be worth a sub-solve.
-    pub min_region: usize,
-    /// Total wall-clock budget across all sub-solves.
-    pub time_budget: Duration,
-    /// Branch-and-bound node cap per sub-solve (the deterministic
-    /// limiter; the time slice is a safety net).
-    pub node_limit: usize,
-    /// Worker threads per sub-solve (sub-solves themselves run
-    /// sequentially).
-    pub jobs: usize,
-    /// Give up after this many consecutive sub-solves without a stitch:
-    /// when the neighborhoods are not improving, the remaining budget
-    /// is worth more to the main branch-and-bound tree.
-    pub max_consecutive_failures: usize,
-}
-
-impl Default for DecomposeConfig {
-    fn default() -> Self {
-        DecomposeConfig {
-            max_region: 40,
-            min_region: 2,
-            time_budget: Duration::from_secs(15),
-            node_limit: 2000,
-            jobs: 1,
-            max_consecutive_failures: 5,
-        }
-    }
-}
+/// Maximum nodes per region (cone subtree truncated breadth-first).
+const MAX_REGION: usize = 40;
+/// Minimum LUT-mappable nodes for a region to be worth a sub-solve.
+const MIN_REGION: usize = 2;
+/// Branch-and-bound node cap per refinement sub-solve (the deterministic
+/// limiter; the time slice is a safety net).
+const SUB_NODE_LIMIT: usize = 2000;
+/// Give up after this many consecutive sub-solves without a stitch:
+/// when the neighborhoods are not improving, the remaining budget is
+/// worth more to the main branch-and-bound tree.
+const MAX_CONSECUTIVE_FAILURES: usize = 5;
 
 /// What the decomposition produced.
 #[derive(Debug, Clone)]
@@ -97,7 +75,7 @@ pub(crate) struct DecomposeOutcome {
 /// post-dominator tree seeded at the largest uncovered MFFC roots.
 /// Regions may overlap the frontier of earlier ones but each node seeds
 /// at most one region, so the count is linear in the graph.
-fn carve_regions(dfg: &Dfg, cfg: &DecomposeConfig) -> Vec<Vec<NodeId>> {
+fn carve_regions(dfg: &Dfg) -> Vec<Vec<NodeId>> {
     let mffc = MffcDb::compute(dfg);
     let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); dfg.len()];
     for id in dfg.node_ids() {
@@ -123,11 +101,11 @@ fn carve_regions(dfg: &Dfg, cfg: &DecomposeConfig) -> Vec<Vec<NodeId>> {
         // Breadth-first down the post-dominator subtree of `r`.
         let mut members = vec![r];
         let mut qi = 0;
-        while qi < members.len() && members.len() < cfg.max_region {
+        while qi < members.len() && members.len() < MAX_REGION {
             let u = members[qi];
             qi += 1;
             for &c in &children[u.index()] {
-                if members.len() >= cfg.max_region {
+                if members.len() >= MAX_REGION {
                     break;
                 }
                 members.push(c);
@@ -137,7 +115,7 @@ fn carve_regions(dfg: &Dfg, cfg: &DecomposeConfig) -> Vec<Vec<NodeId>> {
             .iter()
             .filter(|&&u| dfg.node(u).op.is_lut_mappable())
             .count();
-        if mappable < cfg.min_region {
+        if mappable < MIN_REGION {
             continue;
         }
         for &u in &members {
@@ -196,16 +174,18 @@ fn snap_integers(f: &Formulation, values: &mut [f64]) {
 /// region, so the sum captures per-region integrality gaps that the LP
 /// misses entirely.
 ///
+/// The sub-solves share `time_budget` and run on `jobs` threads each.
 /// Returns `(bound, groups_solved)`, or `None` when no finite bound
 /// could be established (a group with an unbounded relaxation).
 pub(crate) fn partition_bound(
     dfg: &Dfg,
     f: &Formulation,
-    cfg: &DecomposeConfig,
+    time_budget: Duration,
+    jobs: usize,
 ) -> Option<(f64, usize)> {
     let _span = obs::span("partition-bound");
     let n = f.model.num_vars();
-    let regions = carve_regions(dfg, cfg);
+    let regions = carve_regions(dfg);
     // group[j] = region index, or regions.len() for the complement.
     let rest = regions.len();
     let mut group = vec![rest; n];
@@ -262,7 +242,7 @@ pub(crate) fn partition_bound(
     // kind edits, rolled back and re-applied per group.
     let mut cx = pipemap_milp::ResolveContext::new(f.model.clone());
     for (k, &gi) in order.iter().enumerate() {
-        let remaining = cfg.time_budget.saturating_sub(start.elapsed());
+        let remaining = time_budget.saturating_sub(start.elapsed());
         // A group with no objective-weighted column contributes exactly
         // its box bound (zero): don't spend a solver call on it.
         if remaining.is_zero() || weight[gi] == 0 {
@@ -276,8 +256,8 @@ pub(crate) fn partition_bound(
         // should use whatever its time slice allows.
         let sub_opts = SolverOptions {
             time_limit: slice,
-            node_limit: cfg.node_limit.saturating_mul(25),
-            jobs: cfg.jobs.max(1),
+            node_limit: SUB_NODE_LIMIT * 25,
+            jobs: jobs.max(1),
             probing: false,
             cuts: false,
             ..SolverOptions::default()
@@ -310,14 +290,16 @@ pub(crate) fn partition_bound(
 }
 
 /// Refine a feasible seed by re-optimizing one region at a time (see the
-/// module docs). Returns the best incumbent found — the input seed when
-/// no region improved.
+/// module docs) within `time_budget`, each sub-solve on `jobs` threads.
+/// Returns the best incumbent found — the input seed when no region
+/// improved.
 pub(crate) fn refine_incumbent(
     dfg: &Dfg,
     f: &Formulation,
     seed: Vec<f64>,
     relax: Option<&[f64]>,
-    cfg: &DecomposeConfig,
+    time_budget: Duration,
+    jobs: usize,
 ) -> DecomposeOutcome {
     let _span = obs::span("decompose");
     let mut incumbent = seed;
@@ -331,7 +313,7 @@ pub(crate) fn refine_incumbent(
         resolve_stats: pipemap_milp::ResolveStats::default(),
     };
 
-    let mut regions = carve_regions(dfg, cfg);
+    let mut regions = carve_regions(dfg);
     if let Some(x) = relax {
         // Most fractional first; region order index breaks ties so the
         // schedule is deterministic.
@@ -364,13 +346,13 @@ pub(crate) fn refine_incumbent(
         let mut improved_this_round = false;
         for region in &regions {
             let elapsed = start.elapsed();
-            if elapsed >= cfg.time_budget || consecutive_failures >= cfg.max_consecutive_failures {
+            if elapsed >= time_budget || consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
                 break 'rounds;
             }
             // Each sub-solve gets at most a quarter of the budget so several
             // regions are always visited, and never more than what is left.
-            let slice = (cfg.time_budget / 4)
-                .min(cfg.time_budget - elapsed)
+            let slice = (time_budget / 4)
+                .min(time_budget - elapsed)
                 .max(Duration::from_millis(100));
 
             let mut free = vec![false; f.model.num_vars()];
@@ -381,9 +363,9 @@ pub(crate) fn refine_incumbent(
             }
             let sub_opts = SolverOptions {
                 time_limit: slice,
-                node_limit: cfg.node_limit,
+                node_limit: SUB_NODE_LIMIT,
                 initial_solution: Some(incumbent.clone()),
-                jobs: cfg.jobs.max(1),
+                jobs: jobs.max(1),
                 // Region models are small; the structural passes cost more
                 // than they save here.
                 probing: false,
@@ -473,8 +455,7 @@ mod tests {
     #[test]
     fn carver_builds_disjoint_cone_regions() {
         let g = two_cones();
-        let cfg = DecomposeConfig::default();
-        let regions = carve_regions(&g, &cfg);
+        let regions = carve_regions(&g);
         assert!(!regions.is_empty());
         // Every region's seed (first member) is LUT-mappable, and no
         // node seeds two regions.
@@ -501,18 +482,14 @@ mod tests {
             .expect("seed fits");
         let seed_obj = f.model.objective_value(&seed);
 
-        let cfg = DecomposeConfig {
-            time_budget: Duration::from_secs(5),
-            jobs: 1,
-            ..DecomposeConfig::default()
-        };
         let relax = pipemap_milp::solve_relaxation(&f.model, Duration::from_secs(5));
         let out = refine_incumbent(
             &g,
             &f,
             seed,
             relax.as_ref().map(|(_, x)| x.as_slice()),
-            &cfg,
+            Duration::from_secs(5),
+            1,
         );
         assert!(out.objective <= seed_obj + 1e-9, "refinement worsened");
         assert!(
@@ -540,12 +517,8 @@ mod tests {
         let full = f.model.solve(&opts).expect("full solve");
         assert_eq!(full.status, pipemap_milp::Status::Optimal);
 
-        let cfg = DecomposeConfig {
-            time_budget: Duration::from_secs(10),
-            jobs: 1,
-            ..DecomposeConfig::default()
-        };
-        let (bound, solved) = partition_bound(&g, &f, &cfg).expect("finite bound");
+        let (bound, solved) =
+            partition_bound(&g, &f, Duration::from_secs(10), 1).expect("finite bound");
         assert!(solved > 0);
         assert!(
             bound <= full.objective + 1e-6,

@@ -522,17 +522,13 @@ fn run_milp(
             let budget = opts.time_limit / 4;
             let relax =
                 pipemap_milp::solve_relaxation(&f.model, budget.min(Duration::from_secs(5)));
-            let dcfg = crate::decompose::DecomposeConfig {
-                time_budget: budget,
-                jobs: opts.jobs.max(1),
-                ..crate::decompose::DecomposeConfig::default()
-            };
             let out = crate::decompose::refine_incumbent(
                 dfg,
                 &f,
                 sv,
                 relax.as_ref().map(|(_, x)| x.as_slice()),
-                &dcfg,
+                budget,
+                opts.jobs,
             );
             subproblems_solved = out.subproblems_solved;
             stitched_incumbents = out.stitched_incumbents;
@@ -625,15 +621,12 @@ fn run_milp(
         && matches!(status, Status::TimedOut | Status::Feasible)
         && objective.is_finite()
     {
-        let dcfg = crate::decompose::DecomposeConfig {
-            // Half the solve budget: this only runs when the tree has
-            // already timed out, and every second here works the bound
-            // side of the gap, which the tree was failing to move.
-            time_budget: opts.time_limit / 2,
-            jobs: opts.jobs.max(1),
-            ..crate::decompose::DecomposeConfig::default()
-        };
-        if let Some((pb, groups)) = crate::decompose::partition_bound(dfg, &f, &dcfg) {
+        // Half the solve budget: this only runs when the tree has already
+        // timed out, and every second here works the bound side of the
+        // gap, which the tree was failing to move.
+        if let Some((pb, groups)) =
+            crate::decompose::partition_bound(dfg, &f, opts.time_limit / 2, opts.jobs)
+        {
             subproblems_solved += groups;
             let pb = pipemap_milp::lift_to_objective_grid(&f.model, pb);
             if pb > best_bound {

@@ -8,6 +8,7 @@
 
 use super::gomory::{separate_gomory, GomoryShift, MAX_CUTS, MAX_MODEL_VARS};
 use super::{binary_mask, Clique, Implication, StructuralAnalysis};
+use crate::branch::CallerSpace;
 use crate::model::{LinExpr, Model, Sense, VarId, VarKind};
 use crate::simplex::{LpAbort, LpProblem, LpSolution, LpStatus, TableauData, WarmBasis};
 use pipemap_obs as obs;
@@ -374,6 +375,18 @@ pub fn root_cut_loop(
     cfg: &CutLoopConfig,
     deadline: Option<Instant>,
 ) -> CutLoopOutcome {
+    root_cut_loop_in(model, analysis, cfg, deadline, CallerSpace::IDENTITY)
+}
+
+/// [`root_cut_loop`] on a presolved model: `space` maps its objective
+/// values to the caller's model for the `cut-round-bound` instants.
+pub(crate) fn root_cut_loop_in(
+    model: &Model,
+    analysis: &StructuralAnalysis,
+    cfg: &CutLoopConfig,
+    deadline: Option<Instant>,
+    space: CallerSpace,
+) -> CutLoopOutcome {
     let mut base = model.clone();
     for f in &analysis.fixings {
         let c = &mut base.cols[f.col];
@@ -477,8 +490,8 @@ pub fn root_cut_loop(
                 "cut-round-bound",
                 vec![
                     ("round", round.into()),
-                    ("obj_before", obj_before.into()),
-                    ("obj_after", sol.obj.into()),
+                    ("obj_before", space.map(obj_before).into()),
+                    ("obj_after", space.map(sol.obj).into()),
                     ("warm", u64::from(warm).into()),
                     ("lp_iters", sol.iters.into()),
                     ("clique", entering[0].into()),

@@ -31,6 +31,7 @@ mod cutloop;
 mod gomory;
 mod probe;
 
+pub(crate) use cutloop::root_cut_loop_in;
 pub use cutloop::{
     implication_expression, root_cut_loop, CertifiedCut, CutLoopConfig, CutLoopOutcome,
     CutLoopStats, CutProof,

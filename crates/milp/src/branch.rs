@@ -28,9 +28,6 @@
 //!   continuous-column LP noise — a total order independent of arrival
 //!   order.
 //!
-//! Callers that set `absolute_gap` above the tie tolerance opt out of tie
-//! exploration and get classic gap pruning (objective values are still
-//! deterministic; the returned assignment may then depend on timing).
 //! Early stops (deadline/node limit) depend on wall-clock timing by
 //! nature and only promise a valid incumbent + bound pair.
 
@@ -64,10 +61,6 @@ const DIVE_PERIOD: u64 = 197;
 /// skipped (incumbent and final samples always land), so pathological
 /// searches cannot grow the telemetry without bound.
 const MAX_SAMPLES: usize = 4096;
-/// Heartbeat period for time-based convergence samples: stalled searches
-/// still record one sample per second, so time→gap curves stay usable
-/// even when neither incumbent nor bound moves for most of the budget.
-const HEARTBEAT: Duration = Duration::from_secs(1);
 
 /// Path-local pseudo-costs: per integer column, the summed per-unit
 /// objective degradation and observation count for the down and up branch.
@@ -265,13 +258,9 @@ struct SearchState {
     frontier: f64,
     /// `(us since solve start, incumbent obj, frontier bound)` in reduced
     /// objective space; converted to [`GapSample`]s at the end. Pure
-    /// telemetry — never read by the search.
+    /// telemetry — never read by the search. Samples are change-points:
+    /// an incumbent landed, the bound rose, or the search ended.
     timeline: Vec<(u64, f64, f64)>,
-    /// Next heartbeat-sample time. Stalled searches (bound and incumbent
-    /// both stuck) would otherwise record nothing for the whole stall,
-    /// leaving time→gap curves with a single point followed by a cliff;
-    /// the heartbeat keeps them honest at ~1 Hz.
-    next_beat: Duration,
     /// Objective grid in *reduced* space (`0.0` = no grid). Samples snap
     /// to this grid at emission so the timeline never records simplex
     /// noise like `113.00000000000004` in the first place; the final
@@ -286,20 +275,49 @@ impl SearchState {
         if !force && self.timeline.len() >= MAX_SAMPLES {
             return;
         }
-        let snap = |v: f64| -> f64 {
-            if self.snap_delta > 0.0 && v.is_finite() {
-                let g = (v / self.snap_delta).round() * self.snap_delta;
-                if (g - v).abs() <= 1e-6 {
-                    return g;
-                }
-            }
-            v
-        };
         self.timeline.push((
             t.as_micros() as u64,
-            snap(self.incumbent_obj),
-            snap(self.frontier),
+            snap_to_grid(self.incumbent_obj, self.snap_delta),
+            snap_to_grid(self.frontier, self.snap_delta),
         ));
+    }
+}
+
+/// `v` moved onto the objective grid `delta` when it lies within LP
+/// tolerance of a grid point (`delta` 0: no grid). Every integer
+/// assignment's objective lies on the grid, so a `39.99999999999999` is
+/// presolve-offset or simplex noise on an exact 40, never information.
+fn snap_to_grid(v: f64, delta: f64) -> f64 {
+    if delta > 0.0 && v.is_finite() {
+        let g = (v / delta).round() * delta;
+        if (g - v).abs() <= 1e-6 {
+            return g;
+        }
+    }
+    v
+}
+
+/// The map from reduced (post-presolve) objective values to the
+/// caller's model space: add presolve's objective offset, then snap onto
+/// the caller's objective grid. Everything the solver reports, its trace
+/// instants included, is in the caller's space.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CallerSpace {
+    offset: f64,
+    /// Objective grid of the caller's model (`0.0` = none).
+    delta: f64,
+}
+
+impl CallerSpace {
+    /// For a model that is already the caller's: no offset, no grid.
+    pub(crate) const IDENTITY: CallerSpace = CallerSpace {
+        offset: 0.0,
+        delta: 0.0,
+    };
+
+    /// A reduced-space objective value in the caller's space.
+    pub(crate) fn map(self, v: f64) -> f64 {
+        snap_to_grid(v + self.offset, self.delta)
     }
 }
 
@@ -413,12 +431,8 @@ struct Ctx<'a> {
     start: Instant,
     deadline: Option<Instant>,
     node_limit: usize,
-    /// Static objective cutoff in reduced space (`+inf` when unset).
-    cutoff_red: f64,
-    /// `absolute_gap` at or below the tie tolerance enables tie
-    /// exploration; above it, classic gap pruning.
-    tie_explore: bool,
-    gap: f64,
+    /// Maps the trace instants' objective values to the caller's space.
+    space: CallerSpace,
     warm_enabled: bool,
     /// Objective grid for bound lifting (`0.0` = no grid established).
     obj_delta: f64,
@@ -551,19 +565,6 @@ fn lift_bound(b: f64, delta: f64) -> f64 {
     }
 }
 
-impl Ctx<'_> {
-    /// Nodes with `bound >= threshold` are pruned (at push and at pop;
-    /// the threshold only tightens over time, so the two agree).
-    fn prune_threshold(&self, incumbent_obj: f64) -> f64 {
-        let inc_t = if self.tie_explore {
-            incumbent_obj + TIE_EPS
-        } else {
-            incumbent_obj - self.gap
-        };
-        inc_t.min(self.cutoff_red - self.gap)
-    }
-}
-
 /// Result of processing one node outside the lock.
 enum Processed {
     /// The deadline expired mid-solve; the node is still unexplored.
@@ -582,15 +583,14 @@ enum Processed {
 
 /// LP-guided dive: repeatedly fix near-integral variables (or the single
 /// most decided fractional one) and re-solve until the relaxation is
-/// integral or infeasible. Returns an integral assignment below the
-/// static cutoff. Each round only tightens bounds, so the previous
-/// round's optimal basis stays dual-feasible and the re-solve is a warm
-/// dual-simplex re-optimization (counted in the warm-start stats: on
-/// shallow trees the dive is where most warm re-solves happen); a cold
-/// solve is the fallback, not the norm (on large models with many root
-/// cuts a cold solve per round would eat the whole node budget).
-/// Deterministic: depends only on the starting relaxation and the static
-/// cutoff, never on the evolving incumbent.
+/// integral or infeasible. Returns an integral assignment. Each round
+/// only tightens bounds, so the previous round's optimal basis stays
+/// dual-feasible and the re-solve is a warm dual-simplex re-optimization
+/// (counted in the warm-start stats: on shallow trees the dive is where
+/// most warm re-solves happen); a cold solve is the fallback, not the
+/// norm (on large models with many root cuts a cold solve per round
+/// would eat the whole node budget). Deterministic: depends only on the
+/// starting relaxation, never on the evolving incumbent.
 fn dive(
     ctx: &Ctx<'_>,
     lb0: &[f64],
@@ -625,9 +625,6 @@ fn dive_rounds(
     let mut basis: Option<WarmBasis> = warm.cloned();
     for _round in 0..30 {
         *rounds += 1;
-        if sol.obj >= ctx.cutoff_red - 1e-9 {
-            return None; // the dive can't end below the cutoff
-        }
         let mut fracs: Vec<(usize, f64)> = ctx
             .int_cols
             .iter()
@@ -834,15 +831,12 @@ fn process_node(
         })
         .collect();
     if fracs.is_empty() {
-        // Integral relaxation: incumbent candidate (if it beats the static
-        // cutoff), subtree closed.
-        if sol.obj < ctx.cutoff_red - ctx.gap {
-            let mut x = sol.x.clone();
-            for &j in ctx.int_cols {
-                x[j] = x[j].round();
-            }
-            candidates.push((sol.obj, x));
+        // Integral relaxation: incumbent candidate, subtree closed.
+        let mut x = sol.x.clone();
+        for &j in ctx.int_cols {
+            x[j] = x[j].round();
         }
+        candidates.push((sol.obj, x));
         return Processed::Expanded {
             children: Vec::new(),
             candidates,
@@ -966,20 +960,13 @@ fn worker(ctx: &Ctx<'_>, shared: &Mutex<SearchState>, cv: &Condvar, wid: usize) 
             break;
         }
 
-        // Heartbeat: sample the (possibly unchanged) incumbent/bound pair
-        // once per period even when neither moves, capped by MAX_SAMPLES.
-        let elapsed = ctx.start.elapsed();
-        if elapsed >= g.next_beat {
-            g.sample(elapsed, false);
-            g.next_beat = elapsed + HEARTBEAT;
-        }
-
-        // Pop the best unpruned node. The heap is min-by-bound, so a
-        // prunable top means the whole heap is prunable.
+        // Pop the best unpruned node. A node is pruned once its bound
+        // reaches the incumbent plus the tie tolerance, at pop and at
+        // push alike. The heap is min-by-bound, so a prunable top means
+        // the whole heap is prunable.
         let mut popped = None;
-        let threshold = ctx.prune_threshold(g.incumbent_obj);
         if let Some(top) = g.heap.peek() {
-            if top.0.bound >= threshold {
+            if top.0.bound >= g.incumbent_obj + TIE_EPS {
                 g.heap.clear();
             } else if g.nodes >= ctx.node_limit {
                 g.stop = Some(StopReason::NodeLimit);
@@ -998,8 +985,8 @@ fn worker(ctx: &Ctx<'_>, shared: &Mutex<SearchState>, cv: &Condvar, wid: usize) 
                         obs::instant_with(
                             "bound-improved",
                             vec![
-                                ("bound", proven.into()),
-                                ("incumbent", g.incumbent_obj.into()),
+                                ("bound", ctx.space.map(proven).into()),
+                                ("incumbent", ctx.space.map(g.incumbent_obj).into()),
                                 ("node", n.id.into()),
                                 ("nodes", g.nodes.into()),
                             ],
@@ -1085,12 +1072,14 @@ fn worker(ctx: &Ctx<'_>, shared: &Mutex<SearchState>, cv: &Condvar, wid: usize) 
                     if offer_incumbent(ctx.int_cols, &mut g, obj, x) {
                         g.sample(ctx.start.elapsed(), true);
                         if obs::enabled() {
+                            let objective = ctx.space.map(g.incumbent_obj);
+                            let bound = ctx.space.map(g.frontier);
                             obs::instant_with(
                                 "incumbent-found",
                                 vec![
-                                    ("objective", g.incumbent_obj.into()),
-                                    ("bound", g.frontier.into()),
-                                    ("gap", (g.incumbent_obj - g.frontier).into()),
+                                    ("objective", objective.into()),
+                                    ("bound", bound.into()),
+                                    ("gap", (objective - bound).into()),
                                     ("node", node.id.into()),
                                     ("nodes", g.nodes.into()),
                                 ],
@@ -1098,7 +1087,7 @@ fn worker(ctx: &Ctx<'_>, shared: &Mutex<SearchState>, cv: &Condvar, wid: usize) 
                         }
                     }
                 }
-                let threshold = ctx.prune_threshold(g.incumbent_obj);
+                let threshold = g.incumbent_obj + TIE_EPS;
                 for ch in children {
                     if ch.bound < threshold {
                         g.heap.push(Ranked(ch));
@@ -1133,21 +1122,9 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         .then(|| init.clone())
     });
 
-    // Reported objectives and bounds snap to the objective grid when
-    // within LP tolerance of a grid point: every integer assignment's
-    // true objective lies on the *original* model's grid, so a reported
-    // `39.99999999999999` is presolve-offset/simplex noise on an exact
-    // 40, never information.
+    // Reported objectives and bounds snap to the original model's
+    // objective grid.
     let report_delta = objective_granularity(model);
-    let snap = move |v: f64| -> f64 {
-        if report_delta > 0.0 && v.is_finite() {
-            let g = (v / report_delta).round() * report_delta;
-            if (g - v).abs() <= 1e-6 {
-                return g;
-            }
-        }
-        v
-    };
 
     let finish = move |status: Status,
                        objective: f64,
@@ -1158,8 +1135,8 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
                        stats: SolverStats| {
         MilpResult {
             status,
-            objective: snap(objective),
-            best_bound: snap(best_bound),
+            objective: snap_to_grid(objective, report_delta),
+            best_bound: snap_to_grid(best_bound, report_delta),
             values,
             nodes,
             lp_iterations,
@@ -1212,6 +1189,10 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         );
     }
     let offset = red.obj_offset;
+    let space = CallerSpace {
+        offset,
+        delta: report_delta,
+    };
 
     // Structural analysis (probing / conflict graph) and the root
     // cutting-plane loop, both on the reduced model. Everything here
@@ -1273,7 +1254,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
             (Some(d), Some(s)) => Some(d.min(s)),
             (d, s) => s.or(d),
         };
-        let out = analysis::root_cut_loop(&red.model, &sa, &cut_cfg, cut_deadline);
+        let out = analysis::root_cut_loop_in(&red.model, &sa, &cut_cfg, cut_deadline, space);
         stats.clique_cuts = out.stats.clique_cuts;
         stats.cover_cuts = out.stats.cover_cuts;
         stats.implication_cuts = out.stats.implication_cuts;
@@ -1317,9 +1298,7 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         start,
         deadline,
         node_limit: opts.node_limit,
-        cutoff_red: opts.cutoff.map_or(f64::INFINITY, |c| c - offset),
-        tie_explore: opts.absolute_gap <= 1e-6,
-        gap: opts.absolute_gap,
+        space,
         warm_enabled: opts.warm_start,
         obj_delta: objective_granularity(rmodel),
         warm_attempts: &AtomicUsize::new(0),
@@ -1343,7 +1322,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         per_worker_nodes: vec![0; jobs],
         frontier: f64::NEG_INFINITY,
         timeline: Vec::new(),
-        next_beat: HEARTBEAT,
         snap_delta: ctx.obj_delta,
     };
     if let Some(s) = &seed {
@@ -1395,25 +1373,6 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
             "no warm-startable LP re-solves (solved at or near the root)"
         });
     }
-    let root_bound_bits = ctx.root_bound_bits.load(AtomicOrd::Relaxed);
-    if obs::enabled() {
-        let root_bound = if root_bound_bits == u64::MAX {
-            f64::NAN
-        } else {
-            f64::from_bits(root_bound_bits) + offset
-        };
-        obs::instant_with(
-            "search-stats",
-            vec![
-                ("warm_attempts", stats.warm_attempts.into()),
-                ("warm_hits", stats.warm_hits.into()),
-                ("warm_skip", stats.warm_skip_reason.unwrap_or("none").into()),
-                ("root_bound", root_bound.into()),
-                ("nodes", g.nodes.into()),
-            ],
-        );
-    }
-
     let stop = g.stop.unwrap_or(StopReason::Exhausted);
 
     // Best bound: remaining work (heap) on early stops; the incumbent
@@ -1423,6 +1382,26 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         .iter()
         .map(|r| r.0.bound)
         .fold(g.incumbent_obj, f64::min);
+    if obs::enabled() {
+        let root_bound_bits = ctx.root_bound_bits.load(AtomicOrd::Relaxed);
+        let root_bound = if root_bound_bits == u64::MAX {
+            f64::NAN
+        } else {
+            space.map(f64::from_bits(root_bound_bits))
+        };
+        // The tree's own bound moves from `root_bound` to `best_bound`.
+        obs::instant_with(
+            "search-stats",
+            vec![
+                ("warm_attempts", stats.warm_attempts.into()),
+                ("warm_hits", stats.warm_hits.into()),
+                ("warm_skip", stats.warm_skip_reason.unwrap_or("none").into()),
+                ("root_bound", root_bound.into()),
+                ("best_bound", space.map(best_bound_red).into()),
+                ("nodes", g.nodes.into()),
+            ],
+        );
+    }
 
     // Close the convergence timeline with the definitive proven bound,
     // then publish it in caller (pre-presolve) objective space.
@@ -1435,16 +1414,8 @@ pub(crate) fn solve_milp(model: &Model, opts: &SolverOptions) -> Result<MilpResu
         .iter()
         .map(|&(t_us, obj, bound)| GapSample {
             t_ms: t_us as f64 / 1e3,
-            objective: if obj.is_finite() {
-                snap(obj + offset)
-            } else {
-                obj
-            },
-            bound: if bound.is_finite() {
-                snap(bound + offset)
-            } else {
-                bound
-            },
+            objective: space.map(obj),
+            bound: space.map(bound),
         })
         .collect();
 

@@ -119,14 +119,11 @@ pub struct SolverOptions {
     pub time_limit: Duration,
     /// Maximum number of branch-and-bound nodes.
     pub node_limit: usize,
-    /// Prune nodes within this absolute distance of the incumbent.
-    pub absolute_gap: f64,
     /// A known feasible assignment used as the starting incumbent
-    /// (checked; ignored if infeasible or non-integral).
+    /// (checked; ignored if infeasible or non-integral). It bounds the
+    /// search from the start: a node is pruned once its bound reaches
+    /// the incumbent's objective.
     pub initial_solution: Option<Vec<f64>>,
-    /// Objective cutoff: subtrees with bound at or above it are pruned
-    /// even without an incumbent.
-    pub cutoff: Option<f64>,
     /// Worker threads for the branch-and-bound tree search (clamped to at
     /// least 1). The search is deterministic in `jobs`: every thread count
     /// returns the identical status, objective, and assignment, because
@@ -162,25 +159,13 @@ impl Default for SolverOptions {
         SolverOptions {
             time_limit: Duration::from_secs(3600),
             node_limit: usize::MAX,
-            absolute_gap: 1e-6,
             initial_solution: None,
-            cutoff: None,
             jobs: 1,
             presolve: true,
             warm_start: true,
             probing: true,
             cuts: true,
             gomory_cuts: false,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Options with a wall-clock limit.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        SolverOptions {
-            time_limit: limit,
-            ..SolverOptions::default()
         }
     }
 }
@@ -335,25 +320,6 @@ impl MilpResult {
     }
 }
 
-/// Solve just the LP relaxation and report iterations/time — exposed for
-/// profiling binaries; not part of the stable API.
-#[doc(hidden)]
-pub fn debug_solve_root_lp(model: &Model) -> String {
-    use std::time::Instant;
-    let p = simplex::LpProblem::from_model(model);
-    let t0 = Instant::now();
-    match p.solve() {
-        Ok(s) => format!(
-            "{:?} obj={:.3} iters={} in {:?}",
-            s.status,
-            s.obj,
-            s.iters,
-            t0.elapsed()
-        ),
-        Err(e) => format!("abort {e:?} in {:?}", t0.elapsed()),
-    }
-}
-
 /// Solve the LP relaxation of a model (integrality dropped) and return
 /// its optimal objective and variable assignment. `None` when the
 /// relaxation is infeasible, unbounded, numerically unsolvable, or the
@@ -492,7 +458,10 @@ mod tests {
             w.add_term(wt as f64, x);
         }
         m.add_constraint(w, Sense::Le, 100.0);
-        let opts = SolverOptions::with_time_limit(Duration::from_millis(0));
+        let opts = SolverOptions {
+            time_limit: Duration::from_millis(0),
+            ..SolverOptions::default()
+        };
         let r = m.solve(&opts).expect("solves");
         assert!(matches!(
             r.status,
@@ -522,27 +491,6 @@ mod tests {
         m.add_constraint(LinExpr::from(x), Sense::Le, 1.0);
         let r = m.solve(&SolverOptions::default()).expect("solves");
         assert!(r.gap().abs() < 1e-6);
-    }
-
-    #[test]
-    fn cutoff_prunes_without_incumbent() {
-        // Optimum is -2 (both on); a cutoff at -2.5 excludes it, so the
-        // solver must report no solution below the cutoff.
-        let mut m = Model::new("cut");
-        let x = m.add_binary(-1.0);
-        let y = m.add_binary(-1.0);
-        m.add_constraint(LinExpr::from(x) + LinExpr::from(y), Sense::Le, 2.0);
-        let opts = SolverOptions {
-            cutoff: Some(-2.5),
-            ..SolverOptions::default()
-        };
-        let r = m.solve(&opts).expect("solves");
-        assert!(
-            !r.status.has_solution() || r.objective < -2.5,
-            "cutoff violated: {:?} obj {}",
-            r.status,
-            r.objective
-        );
     }
 
     #[test]

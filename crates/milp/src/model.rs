@@ -314,14 +314,6 @@ impl Model {
         self.rows.len()
     }
 
-    /// Number of integer variables.
-    pub fn num_integers(&self) -> usize {
-        self.cols
-            .iter()
-            .filter(|c| c.kind == VarKind::Integer)
-            .count()
-    }
-
     /// Add a variable with explicit bounds, objective coefficient and kind.
     /// Use `f64::NEG_INFINITY` / `f64::INFINITY` for free bounds.
     ///
@@ -436,27 +428,6 @@ impl Model {
     /// to undo a relaxation delta.
     pub fn set_var_kind(&mut self, v: VarId, kind: VarKind) {
         self.cols[v.index()].kind = kind;
-    }
-
-    /// Add `coeff · var` into an existing row, merging with any existing
-    /// coefficient (a zero result drops the entry). The re-solve engine
-    /// uses this to give freshly added columns entries in existing rows.
-    pub fn add_coefficient(&mut self, r: RowId, v: VarId, coeff: f64) {
-        assert!(!coeff.is_nan(), "NaN row coefficient");
-        let row = &mut self.rows[r.index()];
-        match row.coeffs.binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => {
-                row.coeffs[i].1 += coeff;
-                if row.coeffs[i].1 == 0.0 {
-                    row.coeffs.remove(i);
-                }
-            }
-            Err(i) => {
-                if coeff != 0.0 {
-                    row.coeffs.insert(i, (v, coeff));
-                }
-            }
-        }
     }
 
     /// Kind of a variable.

@@ -5,11 +5,9 @@
 //! solve — nothing else. The next solve uses that result in one of two
 //! ways:
 //!
-//! - **cached proof**: when no edit changed the model since, the prior
-//!   status is proved (optimal, infeasible or unbounded) and the options
-//!   that decide what the proof means (`cutoff`, `absolute_gap`) are the
-//!   ones it was proved under, the result is returned without touching
-//!   the solver;
+//! - **cached proof**: when no edit changed the model since and the prior
+//!   status is proved (optimal, infeasible or unbounded), the result is
+//!   returned without touching the solver;
 //! - **incumbent seed**: otherwise the prior assignment, when there is
 //!   one, enters the next solve as its starting incumbent. The solver
 //!   re-validates it against the edited model and drops it when an edit
@@ -18,9 +16,8 @@
 //! No solver state — basis, LU factors, search tree — moves between
 //! solves: presolve rewrites the scheduling models, so a basis saved in
 //! one solve's index space would not fit the next. Edits are bound,
-//! objective and integrality changes plus appended rows
-//! ([`ResolveContext::add_cut`]); setting a value the model already has
-//! is not an edit, so a caller replaying an unchanged query gets the
+//! objective and integrality changes; setting a value the model already
+//! has is not an edit, so a caller replaying an unchanged query gets the
 //! cached proof.
 //!
 //! Context solves run the caller's options as given: a context solve,
@@ -32,18 +29,8 @@
 
 use pipemap_obs as obs;
 
-use crate::model::{LinExpr, Model, RowId, Sense, VarId, VarKind};
+use crate::model::{Model, VarId, VarKind};
 use crate::{MilpError, MilpResult, SolverOptions, Status};
-
-/// The last solve's result, with the options that decide what a proved
-/// status means: a cutoff can make a feasible model look infeasible, and
-/// a wide `absolute_gap` accepts an incumbent as optimal early.
-#[derive(Debug)]
-struct Saved {
-    result: MilpResult,
-    cutoff: Option<f64>,
-    absolute_gap: f64,
-}
 
 /// How the context's solves were served. `cached_results`,
 /// `incumbent_seeds` and `cold_solves` count disjoint classes; a solve
@@ -53,7 +40,7 @@ pub struct ResolveStats {
     /// Solves dispatched through the context (cached returns included).
     pub solves: usize,
     /// Solves answered from the cached result without touching the
-    /// solver (unedited model, proved status, same cutoff and gap).
+    /// solver (unedited model, proved status).
     pub cached_results: usize,
     /// Solves that ran with no incumbent from the context or the caller.
     pub cold_solves: usize,
@@ -131,7 +118,8 @@ impl ResolveAudit {
 pub struct ResolveContext {
     base: Model,
     model: Model,
-    saved: Option<Saved>,
+    /// The last solve's result.
+    saved: Option<MilpResult>,
     /// An edit changed the model since the last solve.
     edited: bool,
     stats: ResolveStats,
@@ -158,7 +146,7 @@ impl ResolveContext {
 
     /// Result of the most recent solve, if any.
     pub fn last_result(&self) -> Option<&MilpResult> {
-        self.saved.as_ref().map(|s| &s.result)
+        self.saved.as_ref()
     }
 
     /// Counters accumulated over this context's lifetime.
@@ -190,12 +178,6 @@ impl ResolveContext {
             self.model.relax_integrality(v);
             self.edited = true;
         }
-    }
-
-    /// Append a constraint row (a "cut" in re-solve terms).
-    pub fn add_cut(&mut self, expr: LinExpr, sense: Sense, rhs: f64) -> RowId {
-        self.edited = true;
-        self.model.add_constraint(expr, sense, rhs)
     }
 
     /// Roll every variable's bounds back to the base snapshot.
@@ -241,27 +223,24 @@ impl ResolveContext {
         let span = obs::enabled().then(|| obs::span("resolve-solve"));
         self.stats.solves += 1;
 
-        // A proved status is a fact about an unedited model under the
-        // cutoff and gap it was proved with.
-        if let Some(s) = self.saved.as_ref().filter(|s| {
+        // A proved status is a fact about the unedited model.
+        if let Some(r) = self.saved.as_ref().filter(|r| {
             !self.edited
                 && matches!(
-                    s.result.status,
+                    r.status,
                     Status::Optimal | Status::Infeasible | Status::Unbounded
                 )
-                && s.cutoff == opts.cutoff
-                && s.absolute_gap == opts.absolute_gap
         }) {
             self.stats.cached_results += 1;
             obs::instant("resolve-cached");
             Self::emit_stats(&self.stats);
             drop(span);
-            return Ok(s.result.clone());
+            return Ok(r.clone());
         }
 
         let mut ropts = opts.clone();
         if ropts.initial_solution.is_none() {
-            match self.saved.as_ref().map(|s| &s.result) {
+            match &self.saved {
                 Some(r) if r.status.has_solution() => {
                     ropts.initial_solution = Some(r.values.clone());
                     self.stats.incumbent_seeds += 1;
@@ -274,11 +253,7 @@ impl ResolveContext {
         let result = self.model.solve(&ropts);
         drop(span);
         let result = result?;
-        self.saved = Some(Saved {
-            result: result.clone(),
-            cutoff: opts.cutoff,
-            absolute_gap: opts.absolute_gap,
-        });
+        self.saved = Some(result.clone());
         Self::emit_stats(&self.stats);
         Ok(result)
     }
@@ -313,11 +288,10 @@ impl ResolveContext {
     ///
     /// Panics if no solve has completed on this context yet.
     pub fn audit(&self, opts: &SolverOptions) -> Result<ResolveAudit, MilpError> {
-        let last = &self
+        let last = self
             .saved
             .as_ref()
-            .expect("audit requires a completed solve")
-            .result;
+            .expect("audit requires a completed solve");
         let cold = self.model.solve(opts)?;
         let objs_eq = (last.objective - cold.objective).abs() <= 1e-6
             || (!last.objective.is_finite()
@@ -455,22 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn added_cut_matches_cold() {
-        let mut cx = ResolveContext::new(knapsack());
-        let opts = SolverOptions::default();
-        cx.solve(&opts).unwrap();
-        // At most one item.
-        let mut e = LinExpr::new();
-        for j in 0..3 {
-            e.add_term(1.0, VarId::from_index(j));
-        }
-        cx.add_cut(e, Sense::Le, 1.0);
-        let r = cx.solve(&opts).unwrap();
-        assert_eq!(r.objective.round(), -5.0); // best single item: a
-        assert!(cx.audit(&opts).unwrap().ok());
-    }
-
-    #[test]
     fn integrality_toggle_matches_cold() {
         let mut cx = ResolveContext::new(knapsack());
         let opts = SolverOptions::default();
@@ -484,36 +442,5 @@ mod tests {
         cx.restore_kinds();
         let r2 = cx.solve(&opts).unwrap();
         assert_eq!(r2.objective.round(), -8.0);
-    }
-
-    #[test]
-    fn cached_result_requires_the_cutoff_and_gap_it_was_proved_under() {
-        let mut cx = ResolveContext::new(knapsack());
-        let cut = SolverOptions {
-            cutoff: Some(-8.5),
-            ..SolverOptions::default()
-        };
-        // Nothing beats the cutoff, so the cutoff solve proves "no
-        // solution below -8.5", not infeasibility of the model.
-        assert_eq!(cx.solve(&cut).unwrap().status, Status::Infeasible);
-        let r = cx.solve(&SolverOptions::default()).unwrap();
-        assert_eq!(r.status, Status::Optimal);
-        assert_eq!(r.objective.round(), -8.0);
-        assert_eq!(cx.stats().cached_results, 0);
-        assert_eq!(cx.stats().cold_solves, 2);
-
-        let wide = SolverOptions {
-            absolute_gap: 100.0,
-            ..SolverOptions::default()
-        };
-        cx.solve(&wide).unwrap();
-        assert_eq!(cx.stats().cached_results, 0);
-        assert_eq!(cx.stats().incumbent_seeds, 1);
-        cx.solve(&wide).unwrap();
-        assert_eq!(cx.stats().cached_results, 1);
-        let r = cx.solve(&SolverOptions::default()).unwrap();
-        assert_eq!(r.objective.round(), -8.0);
-        assert_eq!(cx.stats().cached_results, 1);
-        assert_eq!(cx.stats().solves, 5);
     }
 }

@@ -214,12 +214,6 @@ impl LpProblem {
         }
     }
 
-    /// Solve with the stored bounds.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn solve(&self) -> Result<LpSolution, LpAbort> {
-        self.solve_with_bounds(&self.lb, &self.ub, None)
-    }
-
     /// Solve with overriding bounds (same layout as `lb`/`ub`) and an
     /// optional deadline. A singular basis triggers a from-scratch restart
     /// (with Bland's rule after repeated failures) before giving up.
@@ -1843,6 +1837,13 @@ enum DualOutcome {
 mod tests {
     use super::*;
     use crate::model::{LinExpr, Model, Sense, VarId};
+
+    impl LpProblem {
+        /// Solve with the stored bounds.
+        fn solve(&self) -> Result<LpSolution, LpAbort> {
+            self.solve_with_bounds(&self.lb, &self.ub, None)
+        }
+    }
 
     fn lp(model: &Model) -> LpSolution {
         LpProblem::from_model(model).solve().expect("lp solves")

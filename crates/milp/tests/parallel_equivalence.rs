@@ -121,32 +121,3 @@ fn warm_start_and_presolve_preserve_the_optimum() {
         }
     }
 }
-
-#[test]
-fn parallel_respects_cutoff_and_limits() {
-    // Cutoff semantics must survive the parallel pop/push protocol: no
-    // returned solution may sit at or above the cutoff, on any thread
-    // count.
-    for seed in 200..220u64 {
-        let m = random_model(seed);
-        let probe = m.solve(&opts(1, true, true)).expect("probe solves");
-        if probe.status != Status::Optimal {
-            continue;
-        }
-        let cut = probe.objective - 0.25;
-        for jobs in [1, 4] {
-            let o = SolverOptions {
-                cutoff: Some(cut),
-                ..opts(jobs, true, true)
-            };
-            let r = m.solve(&o).expect("cutoff solve");
-            if r.status.has_solution() {
-                assert!(
-                    r.objective < cut - 1e-9,
-                    "seed {seed} jobs={jobs}: obj {} violates cutoff {cut}",
-                    r.objective
-                );
-            }
-        }
-    }
-}

@@ -7,9 +7,17 @@
 //! their spans, and this module folds spans into wall-clock **phase
 //! attribution** and instants into **gap-closure attribution** — which
 //! cut families moved the root bound and by how much, what branching
-//! contributed, where incumbents came from, how warm starts performed
-//! and how re-solves were served. The result answers "why was this
-//! solve slow / why did it time out" without opening a Perfetto UI.
+//! and the partition bound contributed, where incumbents came from, how
+//! warm starts performed and how re-solves were served. The result
+//! answers "why was this solve slow / why did it time out" without
+//! opening a Perfetto UI.
+//!
+//! Every objective value in the trace is in the caller's model space.
+//! The solver's own events (the `search-stats`, `cut-round-bound` and
+//! `incumbent-found` instants, and the workers' `node` spans) are read
+//! only from inside the flow's `milp-solve` span: decomposition
+//! sub-solves run the same solver before and after it, on models of
+//! their own.
 //!
 //! Reports render two ways: [`SolveReport::render`] (human-readable
 //! diagnosis) and [`SolveReport::to_json`] (schema
@@ -51,7 +59,8 @@ pub struct WorkerSlice {
 /// One gap-closure attribution entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
-    /// Feature name (`cuts:gomory`, `branching`, `incumbents:lns`, …).
+    /// Feature name (`cuts:gomory`, `branching`,
+    /// `decompose:partition-bound`, `incumbents:lns`, …).
     pub name: String,
     /// What the value measures: `root-bound`, `tree-bound`, or
     /// `objective`.
@@ -211,6 +220,25 @@ fn find_node<'t>(nodes: &'t [PhaseNode], name: &str) -> Option<&'t PhaseNode> {
     None
 }
 
+/// The `[begin, end]` timestamps of the last `milp-solve` span, or `None`
+/// when the trace has none.
+fn solve_window(trace: &Trace) -> Option<(u64, u64)> {
+    let mut begin = None;
+    let mut window = None;
+    for e in trace.events.iter().filter(|e| e.name == "milp-solve") {
+        match e.kind {
+            EventKind::Begin => begin = Some(e.ts_us),
+            EventKind::End => {
+                if let Some(b) = begin.take() {
+                    window = Some((b, e.ts_us));
+                }
+            }
+            _ => {}
+        }
+    }
+    window
+}
+
 /// Assemble a [`SolveReport`] from a captured trace.
 pub fn build(trace: &Trace) -> SolveReport {
     let mut r = SolveReport {
@@ -235,6 +263,11 @@ pub fn build(trace: &Trace) -> SolveReport {
         r.solve_phases = slices(&solve.children, solve.total_us);
     }
 
+    // The flow's own solve: decomposition sub-solves run the same solver,
+    // with their own worker lanes, before and after it.
+    let window = solve_window(trace);
+    let in_solve = |e: &Event| window.is_none_or(|(b, end)| (b..=end).contains(&e.ts_us));
+
     // ---- per-worker tree-search load --------------------------------
     let mut lane_names: BTreeMap<u32, String> = BTreeMap::new();
     for e in &trace.events {
@@ -245,7 +278,7 @@ pub fn build(trace: &Trace) -> SolveReport {
     let mut per_lane: BTreeMap<u32, (u64, u64, usize, u64)> = BTreeMap::new();
     // (busy_us, nodes, node_depth, open_ts) per lane.
     for e in &trace.events {
-        if e.name != "node" {
+        if e.name != "node" || !in_solve(e) {
             continue;
         }
         let s = per_lane.entry(e.lane).or_default();
@@ -282,9 +315,21 @@ pub fn build(trace: &Trace) -> SolveReport {
     r.workers.sort_by(|a, b| a.lane.cmp(&b.lane));
 
     // ---- summary instants -------------------------------------------
-    let mut root_bound_after_cuts: Option<f64> = None;
+    let finite = |v: Option<f64>| v.filter(|v| v.is_finite());
+    // The tree's bound at its root LP and at its end.
+    let mut tree_root: Option<f64> = None;
+    let mut tree_end: Option<f64> = None;
+    // `(bound, groups solved)` of the partition-bound pass, when it ran.
+    let mut partition: Option<(f64, u64)> = None;
     for e in &trace.events {
         if e.kind != EventKind::Instant {
+            continue;
+        }
+        let solver_instant = matches!(
+            e.name.as_ref(),
+            "search-stats" | "cut-round-bound" | "incumbent-found"
+        );
+        if solver_instant && !in_solve(e) {
             continue;
         }
         match e.name.as_ref() {
@@ -308,9 +353,8 @@ pub fn build(trace: &Trace) -> SolveReport {
                     hits: arg_u64(e, "warm_hits").unwrap_or(0),
                     skip_reason: skip,
                 });
-                if root_bound_after_cuts.is_none() {
-                    root_bound_after_cuts = arg_f64(e, "root_bound");
-                }
+                tree_root = finite(arg_f64(e, "root_bound"));
+                tree_end = finite(arg_f64(e, "best_bound"));
             }
             "cut-round-bound" => {
                 let mut added: Vec<(String, u64)> = Vec::new();
@@ -329,7 +373,6 @@ pub fn build(trace: &Trace) -> SolveReport {
                     lp_iters: arg_u64(e, "lp_iters").unwrap_or(0),
                     added,
                 };
-                root_bound_after_cuts = Some(round.obj_after);
                 r.cut_rounds.push(round);
             }
             "resolve-stats" => {
@@ -339,6 +382,12 @@ pub fn build(trace: &Trace) -> SolveReport {
                     .filter_map(|(k, _)| arg_f64(e, k).map(|v| (k.to_string(), v)))
                     .collect();
                 r.resolve.sort_by(|a, b| a.0.cmp(&b.0));
+            }
+            "partition-bound" => {
+                partition = Some((
+                    arg_f64(e, "bound").unwrap_or(f64::NAN),
+                    arg_u64(e, "groups_solved").unwrap_or(0),
+                ));
             }
             "decompose-done" => {
                 r.lns = Some((
@@ -392,16 +441,31 @@ pub fn build(trace: &Trace) -> SolveReport {
             detail: format!("{} cuts", family_cuts.get(fam).copied().unwrap_or(0)),
         });
     }
-    if let (Some(bb), Some(root)) = (r.best_bound, root_bound_after_cuts) {
-        let moved = (bb - root).abs();
+    // The tree moves the bound from its root LP to its own final bound;
+    // the partition bound, when it ran, lifts it further to the flow's.
+    let tree_end = tree_end.or(r.best_bound);
+    if let (Some(end), Some(root)) = (tree_end, tree_root) {
+        let moved = (end - root).abs();
         if moved.is_finite() {
             r.features.push(Feature {
                 name: "branching".into(),
                 kind: "tree-bound".into(),
                 value: moved,
-                detail: format!("bound {root:.4} -> {bb:.4} in the tree"),
+                detail: format!("bound {root:.4} -> {end:.4} in the tree"),
             });
         }
+    }
+    if let Some((pb, groups)) = partition {
+        let (from, to) = (
+            tree_end.unwrap_or(f64::NAN),
+            r.best_bound.unwrap_or(f64::NAN),
+        );
+        r.features.push(Feature {
+            name: "decompose:partition-bound".into(),
+            kind: "tree-bound".into(),
+            value: (to - from).max(0.0),
+            detail: format!("bound {from:.4} -> {to:.4}; {groups} group(s) summed to {pb:.4}"),
+        });
     }
     // Objective side: attribute each incumbent improvement to its source.
     let mut source_gain: BTreeMap<String, (f64, u64)> = BTreeMap::new();
@@ -445,7 +509,7 @@ fn diagnose(r: &SolveReport) -> Vec<String> {
     let mut out = Vec::new();
     let wall_ms = r.wall_us as f64 / 1e3;
     match r.status.as_deref() {
-        Some("TimedOut") => {
+        Some("timed-out") => {
             let gap = r
                 .gap_rel
                 .map(|g| format!(" with a {:.1}% gap open", g * 100.0))
@@ -1025,5 +1089,147 @@ mod tests {
         assert_eq!(again.workers, direct.workers);
         assert_eq!(again.top_feature, direct.top_feature);
         assert_eq!(again.cut_rounds, direct.cut_rounds);
+    }
+
+    /// An event at `ts_us` on `lane`.
+    fn ev(ts_us: u64, lane: u32, kind: EventKind, name: &'static str, args: crate::Args) -> Event {
+        Event {
+            name: Cow::Borrowed(name),
+            kind,
+            ts_us,
+            lane,
+            args,
+        }
+    }
+
+    /// A timed-out decomposition flow on lane 0: a refinement sub-solve
+    /// (its worker on lane 1) before the main `milp-solve` span (its
+    /// worker on lane 2) and a partition-bound sub-solve (lane 3) after
+    /// it, each with solver instants of its own. The partition bound
+    /// lifts the tree's final bound 50 to `final_bound`.
+    fn decomposed_trace(final_bound: f64) -> Trace {
+        use EventKind::{Begin, End, Instant, LaneName};
+        let search = |warm: u64, root: f64, end: f64| -> crate::Args {
+            vec![
+                ("warm_attempts", warm.into()),
+                ("warm_hits", warm.into()),
+                ("warm_skip", "none".into()),
+                ("root_bound", root.into()),
+                ("best_bound", end.into()),
+            ]
+        };
+        let objective = |v: f64| -> crate::Args { vec![("objective", v.into())] };
+        let worker = |lane: u32, ts: u64| {
+            [
+                ev(ts, lane, LaneName("bb-worker-0".into()), "", vec![]),
+                ev(ts + 1, lane, Begin, "node", vec![]),
+                ev(ts + 2, lane, End, "node", vec![]),
+            ]
+        };
+        let mut events = vec![ev(0, 0, Begin, "flow:test", vec![])];
+        events.extend(worker(1, 1));
+        events.extend([
+            ev(4, 1, Instant, "incumbent-found", objective(80.0)),
+            ev(5, 0, Instant, "search-stats", search(9, 70.0, 80.0)),
+            ev(6, 0, Instant, "decompose-stitch", objective(60.0)),
+            ev(10, 0, Begin, "milp-solve", vec![]),
+            ev(
+                11,
+                0,
+                Instant,
+                "cut-round-bound",
+                vec![
+                    ("round", 0u64.into()),
+                    ("obj_before", 45.0.into()),
+                    ("obj_after", 46.0.into()),
+                    ("clique", 2u64.into()),
+                ],
+            ),
+        ]);
+        events.extend(worker(2, 12));
+        events.extend([
+            ev(15, 2, Instant, "incumbent-found", objective(58.0)),
+            ev(16, 2, Instant, "incumbent-found", objective(56.0)),
+            ev(17, 0, Instant, "search-stats", search(120, 46.0, 50.0)),
+            ev(20, 0, End, "milp-solve", vec![]),
+        ]);
+        events.extend(worker(3, 21));
+        events.extend([
+            ev(24, 3, Instant, "incumbent-found", objective(5.0)),
+            ev(25, 0, Instant, "search-stats", search(3, 1.0, 2.0)),
+            ev(
+                26,
+                0,
+                Instant,
+                "partition-bound",
+                vec![("bound", 52.3.into()), ("groups_solved", 4u64.into())],
+            ),
+            ev(
+                27,
+                0,
+                Instant,
+                "milp-stats",
+                vec![
+                    ("status", "timed-out".into()),
+                    ("objective", 56.0.into()),
+                    ("best_bound", final_bound.into()),
+                    ("gap_rel", ((56.0 - final_bound) / 56.0).into()),
+                ],
+            ),
+            ev(30, 0, End, "flow:test", vec![]),
+        ]);
+        Trace { events, dropped: 0 }
+    }
+
+    fn feature<'r>(r: &'r SolveReport, name: &str) -> &'r Feature {
+        r.features
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("no {name} feature in {:?}", r.features))
+    }
+
+    #[test]
+    fn solver_events_come_from_the_main_solve_only() {
+        let r = build(&decomposed_trace(53.0));
+        let warm = r.warm.as_ref().expect("search-stats");
+        assert_eq!((warm.hits, warm.attempts), (120, 120));
+        let branching = feature(&r, "branching");
+        assert_eq!(branching.value, 4.0);
+        assert_eq!(branching.detail, "bound 46.0000 -> 50.0000 in the tree");
+        let incumbents: Vec<(f64, &str)> = r
+            .incumbents
+            .iter()
+            .map(|i| (i.objective, i.source.as_str()))
+            .collect();
+        assert_eq!(
+            incumbents,
+            [(60.0, "lns"), (58.0, "branch"), (56.0, "branch")]
+        );
+        assert_eq!(feature(&r, "incumbents:branch").value, 4.0);
+        assert_eq!(r.cut_rounds.len(), 1);
+        assert_eq!(r.workers.len(), 1);
+        assert_eq!(r.workers[0].nodes, 1);
+    }
+
+    #[test]
+    fn partition_bound_lift_is_its_own_feature() {
+        let lifted = build(&decomposed_trace(53.0));
+        let pb = feature(&lifted, "decompose:partition-bound");
+        assert_eq!(pb.kind, "tree-bound");
+        assert_eq!(pb.value, 3.0);
+        // A partition bound that lifts nothing is still listed.
+        let flat = build(&decomposed_trace(50.0));
+        assert_eq!(feature(&flat, "decompose:partition-bound").value, 0.0);
+        assert_eq!(feature(&flat, "branching").value, 4.0);
+    }
+
+    #[test]
+    fn timed_out_solve_states_its_open_gap() {
+        let r = build(&decomposed_trace(42.0));
+        assert_eq!(
+            r.diagnosis[0], "solve timed out after 0 ms with a 25.0% gap open",
+            "{:?}",
+            r.diagnosis
+        );
     }
 }

@@ -19,59 +19,36 @@ use crate::ir_pass::lint_dfg;
 use crate::netlist_pass::lint_verilog;
 use crate::sched_pass::check_implementation;
 
-/// Knobs for [`check_flows`].
-#[derive(Debug, Clone)]
-pub struct FlowCheckOptions {
-    /// Random input vectors per differential simulation.
-    pub vectors: usize,
-    /// Seed for the input streams.
-    pub seed: u64,
-    /// LUT weight of the objective (paper Eq. 15 α).
-    pub alpha: f64,
-    /// FF weight of the objective (paper Eq. 15 β).
-    pub beta: f64,
-    /// DSP weight of the objective (γ, the §3.2 extension).
-    pub gamma: f64,
-    /// Also export II = 1 implementations to Verilog and lint the RTL.
-    pub lint_rtl: bool,
-}
+/// Random input vectors per differential simulation.
+const VECTORS: usize = 24;
+/// Seed for the input streams.
+const SEED: u64 = 0xC0FFEE;
+/// LUT weight of the objective (paper Eq. 15 α).
+const ALPHA: f64 = 0.5;
+/// FF weight of the objective (paper Eq. 15 β).
+const BETA: f64 = 0.5;
 
-impl Default for FlowCheckOptions {
-    fn default() -> Self {
-        FlowCheckOptions {
-            vectors: 24,
-            seed: 0xC0FFEE,
-            alpha: 0.5,
-            beta: 0.5,
-            gamma: 0.0,
-            lint_rtl: true,
-        }
-    }
-}
-
-/// The paper's area objective (Eq. 15) for one implementation.
-pub fn objective(q: &Qor, opts: &FlowCheckOptions) -> f64 {
-    opts.alpha * q.luts as f64 + opts.beta * q.ffs as f64 + opts.gamma * q.dsps as f64
+/// The paper's area objective (Eq. 15) for one implementation, with
+/// α = β = 0.5. DSPs carry no weight (γ = 0 in the §3.2 extension).
+pub fn objective(q: &Qor) -> f64 {
+    ALPHA * q.luts as f64 + BETA * q.ffs as f64
 }
 
 /// Differentially check a set of labeled flow outputs for one graph.
 ///
 /// The first entry is treated as the baseline for the
-/// [`Code::ObjectiveRegression`] comparison (the paper compares its MILP
-/// flows against the HLS tool's heuristic). Flows whose implementation
-/// fails the legality pass are reported via [`Code::FlowIllegal`] (with
-/// the underlying findings merged in, prefixed by the flow label) and are
-/// excluded from simulation, which could otherwise panic on corrupt
-/// covers.
-pub fn check_flows(
-    dfg: &Dfg,
-    target: &Target,
-    flows: &[(&str, &Implementation)],
-    opts: &FlowCheckOptions,
-) -> Diagnostics {
+/// [`Code::ObjectiveRegression`] comparison on [`objective`] (the paper
+/// compares its MILP flows against the HLS tool's heuristic). Each flow
+/// is simulated on 24 seeded random input vectors, and II = 1
+/// implementations are also exported to Verilog and the RTL linted.
+/// Flows whose implementation fails the legality pass are reported via
+/// [`Code::FlowIllegal`] (with the underlying findings merged in,
+/// prefixed by the flow label) and are excluded from simulation, which
+/// could otherwise panic on corrupt covers.
+pub fn check_flows(dfg: &Dfg, target: &Target, flows: &[(&str, &Implementation)]) -> Diagnostics {
     let with_graphs: Vec<(&str, &Dfg, &Implementation)> =
         flows.iter().map(|&(l, imp)| (l, dfg, imp)).collect();
-    check_flows_with_graphs(dfg, target, &with_graphs, opts)
+    check_flows_with_graphs(dfg, target, &with_graphs)
 }
 
 /// [`check_flows`] for flows that may each have scheduled a *rewritten*
@@ -87,7 +64,6 @@ pub fn check_flows_with_graphs(
     dfg: &Dfg,
     target: &Target,
     flows: &[(&str, &Dfg, &Implementation)],
-    opts: &FlowCheckOptions,
 ) -> Diagnostics {
     let mut ds = Diagnostics::new();
 
@@ -127,11 +103,11 @@ pub fn check_flows_with_graphs(
                 &format!("flow `{label}` pre-pass"),
                 dfg,
                 flow_dfg,
-                opts.vectors,
-                opts.seed,
+                VECTORS,
+                SEED,
             ));
         }
-        let ins = InputStreams::random(flow_dfg, opts.vectors, opts.seed);
+        let ins = InputStreams::random(flow_dfg, VECTORS, SEED);
         let flow_ds = check_implementation(flow_dfg, target, imp);
         if flow_ds.has_errors() {
             ds.push(Diagnostic::new(
@@ -156,7 +132,7 @@ pub fn check_flows_with_graphs(
         }
         ds.merge(flow_ds); // keep warnings/info
 
-        if let Err(e) = verify_functional(flow_dfg, target, imp, &ins, opts.vectors) {
+        if let Err(e) = verify_functional(flow_dfg, target, imp, &ins, VECTORS) {
             ds.push(Diagnostic::new(
                 Code::FlowsDiverge,
                 format!("flow `{label}` diverges from the reference interpreter: {e}"),
@@ -165,7 +141,7 @@ pub fn check_flows_with_graphs(
             continue;
         }
 
-        if opts.lint_rtl && imp.schedule.ii() == 1 {
+        if imp.schedule.ii() == 1 {
             if let Ok(rtl) = to_verilog(flow_dfg, target, imp, &format!("{}_{label}", dfg.name())) {
                 let rtl_ds = lint_verilog(&rtl);
                 if rtl_ds.has_errors() {
@@ -194,13 +170,13 @@ pub fn check_flows_with_graphs(
 
     // Objective comparison against the baseline (first flow), same II only.
     if let Some(Some(base)) = qors.first() {
-        let base_obj = objective(base, opts);
+        let base_obj = objective(base);
         for (i, q) in qors.iter().enumerate().skip(1) {
             let Some(q) = q else { continue };
             if q.ii != base.ii {
                 continue;
             }
-            let obj = objective(q, opts);
+            let obj = objective(q);
             if obj > base_obj + 1e-9 {
                 ds.push(Diagnostic::new(
                     Code::ObjectiveRegression,
@@ -259,8 +235,7 @@ mod tests {
     #[test]
     fn equivalent_legal_flows_pass_with_regression_warning() {
         let (g, t, flat, split) = setup();
-        let opts = FlowCheckOptions::default();
-        let ds = check_flows(&g, &t, &[("flat", &flat), ("split", &split)], &opts);
+        let ds = check_flows(&g, &t, &[("flat", &flat), ("split", &split)]);
         // The split pipeline pays registers the flat one does not: that is
         // an objective regression (warning), but nothing is an error.
         assert!(!ds.has_errors(), "{}", ds.render_human("d"));
@@ -272,8 +247,7 @@ mod tests {
         let (g, t, flat, mut split) = setup();
         // Corrupt the split flow: shrink its schedule.
         split.schedule = Schedule::new(1, vec![0; 2], vec![0.0; 2]);
-        let opts = FlowCheckOptions::default();
-        let ds = check_flows(&g, &t, &[("flat", &flat), ("split", &split)], &opts);
+        let ds = check_flows(&g, &t, &[("flat", &flat), ("split", &split)]);
         assert!(ds.has_code(Code::FlowIllegal), "{:?}", ds);
         assert!(ds.has_code(Code::ScheduleSizeMismatch));
     }
@@ -292,7 +266,7 @@ mod tests {
             schedule: Schedule::new(1, vec![0], vec![0.0]),
             cover: Cover::new(vec![None]),
         };
-        let ds = check_flows(&g, &t, &[("only", &imp)], &FlowCheckOptions::default());
+        let ds = check_flows(&g, &t, &[("only", &imp)]);
         assert!(ds.has_code(Code::DanglingPort));
         assert!(ds.has_errors());
     }

@@ -68,7 +68,7 @@ mod sched_pass;
 pub use analyze_pass::{check_analysis, check_graph_equivalence, check_simplification};
 pub use cuts_pass::check_priority_cuts;
 pub use diag::{Code, Diagnostic, Diagnostics, Severity};
-pub use diff_pass::{check_flows, check_flows_with_graphs, objective, FlowCheckOptions};
+pub use diff_pass::{check_flows, check_flows_with_graphs, objective};
 pub use ir_pass::{lint_dfg, lint_text};
 pub use milp_pass::{check_certified_cuts, check_milp_analysis};
 pub use netlist_pass::lint_verilog;

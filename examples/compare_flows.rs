@@ -15,7 +15,7 @@ use pipemap::bench_suite::by_name;
 use pipemap::core::{run_flow, Flow, FlowOptions};
 use pipemap::ir::InputStreams;
 use pipemap::netlist::verify_functional;
-use pipemap::verify::{check_flows_with_graphs, FlowCheckOptions};
+use pipemap::verify::check_flows_with_graphs;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "GFMUL".into());
@@ -74,12 +74,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .iter()
         .map(|r| (r.flow.label(), &r.dfg, &r.implementation))
         .collect();
-    let ds = check_flows_with_graphs(
-        &bench.dfg,
-        &bench.target,
-        &labeled,
-        &FlowCheckOptions::default(),
-    );
+    let ds = check_flows_with_graphs(&bench.dfg, &bench.target, &labeled);
     if ds.has_errors() {
         eprintln!("{}", ds.render_human(bench.name));
         return Err(format!("verifier found {} error(s)", ds.error_count()).into());

@@ -94,7 +94,7 @@ use pipemap::core::{run_flow, Flow, FlowOptions};
 use pipemap::ir::{parse_dfg, to_dot, to_dot_styled, Dfg, InputStreams, Target};
 use pipemap::netlist::{schedule_report, to_verilog, verify_functional};
 use pipemap::report::analyze_report;
-use pipemap::verify::{check_flows_with_graphs, lint_text, Code, FlowCheckOptions};
+use pipemap::verify::{check_flows_with_graphs, lint_text, Code};
 
 struct Args {
     positional: Vec<String>,
@@ -517,12 +517,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                     .iter()
                     .map(|r| (r.flow.label(), &r.dfg, &r.implementation))
                     .collect();
-                ds.merge(check_flows_with_graphs(
-                    &dfg,
-                    &t,
-                    &flows,
-                    &FlowCheckOptions::default(),
-                ));
+                ds.merge(check_flows_with_graphs(&dfg, &t, &flows));
                 // P06xx: run the certified priority-cut pruning exactly
                 // as the MILP-map flow would and audit every certificate.
                 let prune = pipemap::cuts::priority_cuts(

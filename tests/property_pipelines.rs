@@ -12,7 +12,7 @@ use pipemap::core::{run_flow, schedule_baseline, schedule_mapped_heuristic, Flow
 use pipemap::cuts::{cone_nodes, CutConfig, CutDb};
 use pipemap::ir::{random_dfg, Dfg, InputStreams, RandomDfgConfig, Target};
 use pipemap::netlist::{verify, verify_functional};
-use pipemap::verify::{check_flows_with_graphs, FlowCheckOptions};
+use pipemap::verify::check_flows_with_graphs;
 
 const CASES: u64 = 48;
 
@@ -153,7 +153,7 @@ fn all_flows_verifier_clean() {
             .iter()
             .map(|(l, r)| (*l, &r.dfg, &r.implementation))
             .collect();
-        let ds = check_flows_with_graphs(&dfg, &target, &flows, &FlowCheckOptions::default());
+        let ds = check_flows_with_graphs(&dfg, &target, &flows);
         assert!(
             !ds.has_errors(),
             "seed {seed}: verifier errors:\n{}",

@@ -108,6 +108,56 @@ fn golden_report_on_seeded_dfg() {
     );
 }
 
+/// Presolve shifts GSM's objective by a constant offset. The tree's bound
+/// movement must start where `search-stats` says the tree's root stood
+/// and end at the solve's bound, both in the caller's objective space.
+#[test]
+fn gsm_branching_starts_at_the_tree_root_bound() {
+    let _l = OBS_LOCK.lock().expect("obs lock");
+    let b = pipemap::bench_suite::by_name("GSM").expect("benchmark");
+    let _ = obs::take();
+    obs::enable();
+    let flow = run_flow(
+        &b.dfg,
+        &b.target,
+        Flow::MilpMap,
+        &FlowOptions {
+            jobs: 2,
+            ..FlowOptions::default()
+        },
+    );
+    obs::disable();
+    let trace = obs::take();
+    let milp = flow.expect("flow").milp.expect("milp stats");
+    assert_eq!(milp.status, Status::Optimal);
+
+    let stats: Vec<&obs::Event> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "search-stats")
+        .collect();
+    assert_eq!(stats.len(), 1, "one tree search");
+    let root = stats[0]
+        .args
+        .iter()
+        .find_map(|(k, v)| match (*k, v) {
+            ("root_bound", obs::ArgValue::Float(x)) => Some(*x),
+            _ => None,
+        })
+        .expect("root_bound");
+    let rep = report::build(&trace);
+    let branching = rep
+        .features
+        .iter()
+        .find(|f| f.name == "branching")
+        .expect("branching feature");
+    assert_eq!(
+        branching.detail,
+        format!("bound {root:.4} -> {:.4} in the tree", milp.best_bound)
+    );
+    assert_eq!(branching.value, milp.best_bound - root);
+}
+
 #[test]
 fn histogram_shard_merge_matches_serial() {
     let _l = OBS_LOCK.lock().expect("obs lock");

@@ -19,7 +19,7 @@ use pipemap::ir::{Dfg, DfgBuilder, Node, NodeId, Op, Port, Target};
 use pipemap::netlist::{Cover, Implementation, Schedule};
 use pipemap::verify::{
     check_analysis, check_flows, check_graph_equivalence, check_implementation,
-    check_simplification, lint_dfg, lint_text, lint_verilog, Code, FlowCheckOptions, Severity,
+    check_simplification, lint_dfg, lint_text, lint_verilog, Code, Severity,
 };
 
 // ---- helpers ---------------------------------------------------------------
@@ -420,12 +420,7 @@ fn p0301_flow_illegal_merges_details() {
         schedule: Schedule::new(1, vec![0; 1], vec![0.0; 1]),
         cover: good.cover.clone(),
     };
-    let ds = check_flows(
-        &g,
-        &t,
-        &[("good", &good), ("bad", &bad)],
-        &FlowCheckOptions::default(),
-    );
+    let ds = check_flows(&g, &t, &[("good", &good), ("bad", &bad)]);
     assert!(ds.has_code(Code::FlowIllegal), "{:?}", ds);
     assert!(ds.has_code(Code::ScheduleSizeMismatch));
     assert!(ds.iter().any(|d| d.message.starts_with("[bad]")));
@@ -444,12 +439,7 @@ fn p0302_equivalent_flows_do_not_diverge() {
         schedule: Schedule::new(1, cycles, vec![0.0; g.len()]),
         cover: flat.cover.clone(),
     };
-    let ds = check_flows(
-        &g,
-        &t,
-        &[("flat", &flat), ("split", &split)],
-        &FlowCheckOptions::default(),
-    );
+    let ds = check_flows(&g, &t, &[("flat", &flat), ("split", &split)]);
     assert!(!ds.has_code(Code::FlowsDiverge), "{:?}", ds);
     assert!(!ds.has_errors(), "{:?}", ds);
     assert!(Code::ALL.contains(&Code::FlowsDiverge));
@@ -466,12 +456,7 @@ fn p0303_objective_regression_is_warning() {
         schedule: Schedule::new(1, cycles, vec![0.0; g.len()]),
         cover: flat.cover.clone(),
     };
-    let ds = check_flows(
-        &g,
-        &t,
-        &[("flat", &flat), ("split", &split)],
-        &FlowCheckOptions::default(),
-    );
+    let ds = check_flows(&g, &t, &[("flat", &flat), ("split", &split)]);
     let d = ds
         .iter()
         .find(|d| d.code == Code::ObjectiveRegression)
